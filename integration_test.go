@@ -225,6 +225,56 @@ func TestFaultScenariosDeterministic(t *testing.T) {
 	}
 }
 
+// TestMeanFetchLatencyMeasuredFetchesOnly pins the one definition of
+// MeanFetchLatency for both engines: total fetch time over the measured
+// ticks' downloads plus failed downloads. A spike confined to warmup
+// must not leak into the measured mean, and a cell whose every download
+// failed still reports what those failures cost.
+func TestMeanFetchLatencyMeasuredFetchesOnly(t *testing.T) {
+	base := SimulationConfig{
+		Objects:         50,
+		UpdatePeriod:    1,
+		RequestsPerTick: 20,
+		Access:          "zipf",
+		Warmup:          20,
+		Ticks:           40,
+		Seed:            12345,
+	}
+	spiked := base
+	spiked.Policy = "on-demand-stale"
+	spiked.Fault = &FaultConfig{
+		BaseLatency: 1,
+		Spikes:      []FaultSpike{{FaultWindow: FaultWindow{Server: AllServers, From: 0, To: 20}, Factor: 8}},
+	}
+	rep, err := RunSimulation(spiked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Downloads == 0 || rep.MeanFetchLatency != 1 {
+		t.Errorf("warmup-only spike: mean fetch latency %v over %d downloads, want 1", rep.MeanFetchLatency, rep.Downloads)
+	}
+
+	// Every fetch is refused; each download costs two attempts of 1.
+	outage := &FaultConfig{
+		BaseLatency: 1,
+		Outages:     []FaultWindow{{Server: AllServers, From: 0, To: 1 << 20}},
+		Retry:       RetryConfig{MaxAttempts: 2},
+	}
+	for _, strat := range []string{"on-demand", "push-ts", "push-at"} {
+		cfg := base
+		cfg.Fault = outage
+		cfg.Dissemination = &DisseminationConfig{Strategy: strat}
+		rep, err := RunSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Downloads != 0 || rep.FailedDownloads == 0 || rep.MeanFetchLatency != 2 {
+			t.Errorf("%s total outage: %d downloads, %d failed, mean fetch latency %v; want 0, >0, 2",
+				strat, rep.Downloads, rep.FailedDownloads, rep.MeanFetchLatency)
+		}
+	}
+}
+
 // TestZeroFaultScheduleMatchesIdealPath locks that installing the fault
 // layer with an empty schedule changes nothing: the report (scores,
 // recencies, downloads, every float) is identical to a run with no fault

@@ -190,11 +190,13 @@ func TestTimeoutAbandonsSlowFetch(t *testing.T) {
 	}
 	st, _ := faultStation(t, sched, RetryConfig{MaxAttempts: 3, Timeout: 5}, server.ConstantLatency(1))
 	warmCache(t, st)
+	var totals Totals
 	// Normal tick: latency 1 <= timeout, download succeeds.
 	res, err := st.RunTick(1, req(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	totals.Add(res)
 	if res.PolicyDownloads != 1 || res.FailedDownloads != 0 {
 		t.Fatalf("normal tick %+v: want a clean download", res)
 	}
@@ -207,15 +209,16 @@ func TestTimeoutAbandonsSlowFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	totals.Add(res)
 	if res.FailedDownloads != 1 || res.Retries != 0 || res.StaleFallbacks != 1 {
 		t.Fatalf("spike tick %+v: want 1 failed download with no retries, 1 stale fallback", res)
 	}
 	if res.FetchLatency != 10 {
 		t.Errorf("spike fetch latency %v, want 10", res.FetchLatency)
 	}
-	lat := st.FetchLatency()
-	if lat.N() != 2 || lat.Max() != 10 || lat.Min() != 1 {
-		t.Errorf("latency stats %v: want 2 samples in [1, 10]", lat)
+	// Succeeded and abandoned downloads both bill their fetch time.
+	if n := totals.Downloads() + totals.FailedDownloads; n != 2 || totals.FetchLatency != 11 {
+		t.Errorf("%d fetches costing %v in total, want 2 costing 11", n, totals.FetchLatency)
 	}
 }
 

@@ -1,6 +1,7 @@
 package basestation
 
 import (
+	"reflect"
 	"testing"
 
 	"mobicache/internal/catalog"
@@ -47,14 +48,51 @@ func TestResilienceConfigValidation(t *testing.T) {
 	base := Config{Catalog: cat, Server: srv, Policy: policy.OnDemandStale{}}
 
 	cfg := base
-	cfg.Breaker = resilience.MustBreaker(resilience.BreakerConfig{FailureThreshold: 3})
-	if _, err := New(cfg); err == nil {
-		t.Error("breaker without fetcher accepted")
-	}
-	cfg = base
 	cfg.Admission = resilience.Admission{MaxRequestsPerTick: -1}
 	if _, err := New(cfg); err == nil {
 		t.Error("negative admission budget accepted")
+	}
+}
+
+// TestBreakerWithoutFetcherMatchesUnarmed pins what a breaker armed
+// without a Fetcher does: it gates the fault-free fetch path, never
+// opens, and leaves every tick identical to the unarmed station's.
+func TestBreakerWithoutFetcherMatchesUnarmed(t *testing.T) {
+	run := func(brk *resilience.Breaker) []TickResult {
+		cat, err := catalog.Uniform(10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(cat, catalog.NewPeriodicAll(cat, 2))
+		st, err := New(Config{Catalog: cat, Server: srv, Policy: policy.OnDemandStale{}, CompulsoryMisses: true, Breaker: brk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := client.NewGenerator(client.GeneratorConfig{Catalog: cat, RatePerTick: 5, Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []TickResult
+		for tick := 0; tick < 50; tick++ {
+			res, err := st.RunTick(tick, gen.Tick(tick))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	unarmed := run(nil)
+	armed := run(resilience.MustBreaker(resilience.BreakerConfig{FailureThreshold: 1}))
+	if !reflect.DeepEqual(armed, unarmed) {
+		t.Fatalf("idle breaker changed the ticks:\narmed   %+v\nunarmed %+v", armed, unarmed)
+	}
+	var downloads int
+	for _, res := range unarmed {
+		downloads += res.PolicyDownloads + res.MissDownloads
+	}
+	if downloads == 0 {
+		t.Fatal("inert fixture: no downloads for the breaker to gate")
 	}
 }
 

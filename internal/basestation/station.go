@@ -14,7 +14,6 @@ import (
 	"mobicache/internal/cache"
 	"mobicache/internal/catalog"
 	"mobicache/internal/client"
-	"mobicache/internal/metrics"
 	"mobicache/internal/obs"
 	"mobicache/internal/policy"
 	"mobicache/internal/recency"
@@ -91,9 +90,8 @@ type Config struct {
 	// download short-circuits straight to the stale-fallback path
 	// instead of burning retry and timeout budget. While the breaker is
 	// open the station serves the whole tick in stale-only mode (no
-	// policy downloads, no compulsory misses). Requires a Fetcher — the
-	// ideal path cannot fail, so a breaker there could never trip and
-	// would only hide a miswired configuration.
+	// policy downloads, no compulsory misses). Armed without a Fetcher,
+	// it gates the fault-free fetch path and never opens.
 	Breaker *resilience.Breaker
 	// Admission bounds the per-tick request load; excess requests are
 	// shed deterministically, lowest knapsack profit first (the profit
@@ -261,9 +259,6 @@ type Station struct {
 	downloadedIDs []catalog.ID
 	failedNow     []bool
 	failedIDs     []catalog.ID
-	// fetchLatency samples the per-download simulated fetch time
-	// (attempts plus backoff) whenever a Fetcher is installed.
-	fetchLatency metrics.Welford
 	// view is the reusable policy view handed to Decide each tick; kept on
 	// the station so taking its address does not heap-allocate per tick.
 	view policy.TickView
@@ -321,7 +316,7 @@ func New(cfg Config) (*Station, error) {
 		return nil, fmt.Errorf("basestation: %w", err)
 	}
 	if cfg.Breaker != nil && cfg.Fetcher == nil {
-		return nil, fmt.Errorf("basestation: breaker requires a fetcher (the ideal path cannot fail)")
+		cfg.Fetcher = directFetch{cfg.Server}
 	}
 	if cfg.Retry.MaxAttempts == 0 {
 		cfg.Retry.MaxAttempts = 1
@@ -351,11 +346,6 @@ func (s *Station) Cache() *cache.Cache { return s.cache }
 
 // Catalog returns the catalog the station serves.
 func (s *Station) Catalog() *catalog.Catalog { return s.cfg.Catalog }
-
-// FetchLatency returns the distribution of per-download simulated fetch
-// time (attempts plus backoff waits) observed so far. It only accumulates
-// when a Fetcher is installed; the ideal path is instantaneous.
-func (s *Station) FetchLatency() *metrics.Welford { return &s.fetchLatency }
 
 // RunTick advances one time unit: server updates, policy decision, the
 // decided downloads, and request service.
@@ -701,7 +691,6 @@ func (s *Station) download(id catalog.ID, tick int, now float64, res *TickResult
 		timedOut := s.cfg.Retry.Timeout > 0 && elapsed > s.cfg.Retry.Timeout
 		if err == nil && !timedOut {
 			res.FetchLatency += elapsed
-			s.fetchLatency.Add(elapsed)
 			if m := s.cfg.Metrics; m != nil {
 				m.FetchLatency.Observe(elapsed)
 			}
@@ -713,7 +702,6 @@ func (s *Station) download(id catalog.ID, tick int, now float64, res *TickResult
 		if timedOut || attempt >= s.cfg.Retry.MaxAttempts {
 			res.FailedDownloads++
 			res.FetchLatency += elapsed
-			s.fetchLatency.Add(elapsed)
 			if m := s.cfg.Metrics; m != nil {
 				m.FetchLatency.Observe(elapsed)
 			}
@@ -729,6 +717,16 @@ func (s *Station) download(id catalog.ID, tick int, now float64, res *TickResult
 			backoff = s.cfg.Retry.MaxBackoff
 		}
 	}
+}
+
+// directFetch is the fault-free fetch path: a direct server download
+// that always succeeds at zero simulated cost.
+type directFetch struct{ srv *server.Server }
+
+// Fetch implements Fetcher.
+func (d directFetch) Fetch(id catalog.ID, _ int) (uint64, int64, float64, error) {
+	version, size := d.srv.Download(id)
+	return version, size, 0, nil
 }
 
 // markDownloaded flags id as fetched during the current tick and records it

@@ -10,6 +10,7 @@ import (
 	"mobicache/internal/multicell"
 	"mobicache/internal/resilience"
 	"mobicache/internal/rng"
+	"mobicache/internal/server"
 )
 
 // resilienceProfile is one chaos profile of the resilience study: a
@@ -33,22 +34,30 @@ func ResilienceStudy(cells int, seed uint64, workers int) (string, error) {
 		return "", fmt.Errorf("experiment: cells %d must be positive", cells)
 	}
 	const ticks = 400
-	outage := func(w fault.Window) func(cell int) (*fault.Schedule, error) {
-		return func(cell int) (*fault.Schedule, error) {
+	retry := basestation.RetryConfig{MaxAttempts: 3, BaseBackoff: 0.5, MaxBackoff: 4}
+	outage := func(w fault.Window) func(int, *server.Server) (basestation.Fetcher, basestation.RetryConfig, error) {
+		return func(cell int, srv *server.Server) (basestation.Fetcher, basestation.RetryConfig, error) {
 			s, err := fault.NewSchedule(1, seed+uint64(cell)*0x9e3779b97f4a7c15)
 			if err != nil {
-				return nil, err
+				return nil, retry, err
 			}
-			return s, s.AddOutage(0, w)
+			if err := s.AddOutage(0, w); err != nil {
+				return nil, retry, err
+			}
+			fs, err := server.NewFaultyServer(srv, s, nil)
+			if err != nil {
+				return nil, retry, err
+			}
+			return fs, retry, nil
 		}
 	}
 	profiles := []resilienceProfile{
 		{"blackout", func(cfg *multicell.Config) error {
-			cfg.FetchFaults = outage(fault.Window{From: 100, To: 180})
+			cfg.NewFetcher = outage(fault.Window{From: 100, To: 180})
 			return nil
 		}},
 		{"flapping", func(cfg *multicell.Config) error {
-			cfg.FetchFaults = outage(fault.Window{From: 50, To: 56, Every: 12})
+			cfg.NewFetcher = outage(fault.Window{From: 50, To: 56, Every: 12})
 			return nil
 		}},
 		{"overload", func(cfg *multicell.Config) error {
@@ -79,7 +88,6 @@ func ResilienceStudy(cells int, seed uint64, workers int) (string, error) {
 			Pattern:       rng.Zipf,
 			Workers:       workers,
 			Seed:          seed,
-			Retry:         basestation.RetryConfig{MaxAttempts: 3, BaseBackoff: 0.5, MaxBackoff: 4},
 		}
 		if err := p.mutate(&cfg); err != nil {
 			return multicell.Report{}, err

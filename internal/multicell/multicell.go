@@ -88,21 +88,16 @@ type Config struct {
 	// any Workers count, and a schedule with no windows reproduces the
 	// fault-free run exactly. Must cover exactly Cells cells.
 	CellFaults *fault.CellSchedule
-	// FetchFaults, when non-nil, is called once per cell to build that
-	// cell's upstream fault schedule; the cell's station then fetches
-	// through its own server.FaultyServer wrapping the shared server.
-	// Per-cell schedules (rather than one shared one) keep the parallel
-	// phase race-free and deterministic: each cell owns its failure
-	// draws, so they depend only on that cell's fetch sequence.
-	FetchFaults func(cell int) (*fault.Schedule, error)
-	// Retry is each station's fetch retry policy (used with FetchFaults
-	// or Resilience).
-	Retry basestation.RetryConfig
+	// NewFetcher, when non-nil, is called once per cell to build that
+	// cell's fetch path over the shared server: the Fetcher its station
+	// or dissemination cell downloads through, and the retry policy for
+	// failed fetches. Per-cell fetchers (rather than one shared one) keep
+	// the parallel phase race-free and deterministic: each cell owns its
+	// failure draws, so they depend only on that cell's fetch sequence.
+	NewFetcher func(cell int, srv *server.Server) (basestation.Fetcher, basestation.RetryConfig, error)
 	// Resilience, when non-nil, arms every cell's station with its own
-	// circuit breaker and admission control. A breaker needs a fetch
-	// path that can fail, so enabling one without FetchFaults installs
-	// an empty (fault-free) per-cell schedule — behaviourally identical
-	// to the ideal path.
+	// circuit breaker and admission control. A breaker without a
+	// NewFetcher gates the fault-free fetch path and never opens.
 	Resilience *resilience.Config
 	// Metrics, when non-nil, receives live observability updates. The
 	// bundle must come from obs.NewMulticellMetrics: each cell writes to
@@ -280,8 +275,9 @@ type System struct {
 }
 
 // New builds the system: one shared server, one station per cell (each
-// with its own unlimited cache, on-demand knapsack policy, and — when
-// metrics are attached — its own per-cell metrics shard), and a mobile
+// with its own unlimited cache, on-demand knapsack policy, fetch path,
+// and — when metrics are attached — its own per-cell metrics shard) or
+// one dissemination cell per cell under a push strategy, and a mobile
 // population spread over the cells.
 func New(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
@@ -327,45 +323,41 @@ func New(cfg Config) (*System, error) {
 		}
 		sys.merger = obs.NewShardMerger(cfg.Metrics.Station, shards)
 	}
-	if cfg.Dissemination != dissemination.OnDemand {
-		for c := 0; c < cfg.Cells; c++ {
-			dcfg := dissemination.Config{
+	for c := 0; c < cfg.Cells; c++ {
+		var fetcher basestation.Fetcher
+		var retry basestation.RetryConfig
+		if cfg.NewFetcher != nil {
+			if fetcher, retry, err = cfg.NewFetcher(c, srv); err != nil {
+				return nil, fmt.Errorf("multicell: cell %d fetch path: %w", c, err)
+			}
+		}
+		var sm *obs.StationMetrics
+		if shards != nil {
+			sm = shards[c]
+		}
+		if cfg.Dissemination != dissemination.OnDemand {
+			dc, err := dissemination.New(dissemination.Config{
 				Catalog:  cat,
 				Strategy: cfg.Dissemination,
 				Knobs:    cfg.DisseminationKnobs,
-				// The same golden-ratio chain scheduleFor uses, so sleep
-				// draws are per-cell streams independent of the workload.
+				Fetcher:  fetcher,
+				Retry:    retry,
+				Metrics:  sm,
+				// The same golden-ratio chain the facade's per-cell fault
+				// streams use, so sleep draws are per-cell streams
+				// independent of the workload.
 				Seed: cfg.Seed + uint64(c)*0x9e3779b97f4a7c15,
-			}
-			if shards != nil {
-				dcfg.Metrics = shards[c]
-			}
-			if cfg.FetchFaults != nil {
-				sched, err := cfg.FetchFaults(c)
-				if err != nil {
-					return nil, fmt.Errorf("multicell: cell %d fault schedule: %w", c, err)
-				}
-				fs, err := server.NewFaultyServer(srv, sched, nil)
-				if err != nil {
-					return nil, err
-				}
-				dcfg.Fetcher = fs
-				dcfg.Retry = cfg.Retry
-			}
-			dc, err := dissemination.New(dcfg)
+			})
 			if err != nil {
 				return nil, fmt.Errorf("multicell: cell %d: %w", c, err)
 			}
 			sys.dcells = append(sys.dcells, dc)
+			continue
 		}
-		sys.dcellStart = make([]dissemination.Stats, cfg.Cells)
-		return finishNew(sys, cfg)
-	}
-	for c := 0; c < cfg.Cells; c++ {
 		scfg := core.Config{Solver: cfg.Solver, Trace: ring}
-		if shards != nil {
-			scfg.FullResolves = shards[c].SolverFullResolves
-			scfg.WarmResolves = shards[c].SolverWarmResolves
+		if sm != nil {
+			scfg.FullResolves = sm.SolverFullResolves
+			scfg.WarmResolves = sm.SolverWarmResolves
 		}
 		sel, err := core.NewSelector(cat, scfg)
 		if err != nil {
@@ -375,34 +367,15 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sm *obs.StationMetrics
-		if shards != nil {
-			sm = shards[c]
-		}
 		bcfg := basestation.Config{
 			Catalog:          cat,
 			Server:           srv,
 			Policy:           pol,
 			BudgetPerTick:    cfg.BudgetPerTick,
 			CompulsoryMisses: true,
+			Fetcher:          fetcher,
+			Retry:            retry,
 			Metrics:          sm,
-		}
-		needFetcher := cfg.FetchFaults != nil ||
-			(cfg.Resilience != nil && cfg.Resilience.Breaker.Enabled())
-		if needFetcher {
-			sched := fault.MustSchedule(1, cfg.Seed)
-			if cfg.FetchFaults != nil {
-				var err error
-				if sched, err = cfg.FetchFaults(c); err != nil {
-					return nil, fmt.Errorf("multicell: cell %d fault schedule: %w", c, err)
-				}
-			}
-			fs, err := server.NewFaultyServer(srv, sched, nil)
-			if err != nil {
-				return nil, err
-			}
-			bcfg.Fetcher = fs
-			bcfg.Retry = cfg.Retry
 		}
 		if cfg.Resilience != nil {
 			if cfg.Resilience.Breaker.Enabled() {
@@ -421,12 +394,9 @@ func New(cfg Config) (*System, error) {
 		}
 		sys.stations = append(sys.stations, st)
 	}
-	return finishNew(sys, cfg)
-}
-
-// finishNew attaches the mobile population and the request-generation
-// visitor — the parts shared by the station and dissemination builds.
-func finishNew(sys *System, cfg Config) (*System, error) {
+	if sys.dcells != nil {
+		sys.dcellStart = make([]dissemination.Stats, cfg.Cells)
+	}
 	pop, err := client.NewPopulation(cfg.Clients, cfg.Cells, cfg.Mobility, cfg.Seed+1)
 	if err != nil {
 		return nil, err

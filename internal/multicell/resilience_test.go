@@ -10,7 +10,24 @@ import (
 	"mobicache/internal/fault"
 	"mobicache/internal/resilience"
 	"mobicache/internal/rng"
+	"mobicache/internal/server"
 )
+
+// outageFetcher builds each cell's fetch path over a one-server schedule
+// seeded seed+cell with the given outage window.
+func outageFetcher(seed uint64, w fault.Window, retry basestation.RetryConfig) func(int, *server.Server) (basestation.Fetcher, basestation.RetryConfig, error) {
+	return func(cell int, srv *server.Server) (basestation.Fetcher, basestation.RetryConfig, error) {
+		s := fault.MustSchedule(1, seed+uint64(cell))
+		if err := s.AddOutage(0, w); err != nil {
+			return nil, retry, err
+		}
+		fs, err := server.NewFaultyServer(srv, s, nil)
+		if err != nil {
+			return nil, retry, err
+		}
+		return fs, retry, nil
+	}
+}
 
 // resilientConfig is the shared fixture: 4 cells, a cell-failure schedule
 // taking cell 1 down mid-run, flaky fetch paths, a breaker, and admission
@@ -34,12 +51,7 @@ func resilientConfig(t *testing.T) Config {
 		Pattern:       rng.Zipf,
 		Seed:          11,
 		CellFaults:    cs,
-		FetchFaults: func(cell int) (*fault.Schedule, error) {
-			s := fault.MustSchedule(1, 100+uint64(cell))
-			err := s.AddOutage(0, fault.Window{From: 40, To: 55, Every: 50})
-			return s, err
-		},
-		Retry: basestation.RetryConfig{MaxAttempts: 2},
+		NewFetcher:    outageFetcher(100, fault.Window{From: 40, To: 55, Every: 50}, basestation.RetryConfig{MaxAttempts: 2}),
 		Resilience: &resilience.Config{
 			Breaker:   resilience.BreakerConfig{FailureThreshold: 3, OpenTicks: 6},
 			Admission: resilience.Admission{MaxRequestsPerTick: 12},
@@ -194,12 +206,7 @@ func TestCellBlackoutReroutes(t *testing.T) {
 func TestBreakerTripsAcrossCells(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Workers = 1
-	cfg.FetchFaults = func(cell int) (*fault.Schedule, error) {
-		s := fault.MustSchedule(1, uint64(cell))
-		err := s.AddOutage(0, fault.Window{From: 20, To: 70})
-		return s, err
-	}
-	cfg.Retry = basestation.RetryConfig{MaxAttempts: 2}
+	cfg.NewFetcher = outageFetcher(0, fault.Window{From: 20, To: 70}, basestation.RetryConfig{MaxAttempts: 2})
 	cfg.Resilience = &resilience.Config{
 		Breaker: resilience.BreakerConfig{FailureThreshold: 2, OpenTicks: 8},
 	}
@@ -235,10 +242,10 @@ func TestResilienceConfigRejections(t *testing.T) {
 		t.Errorf("negative admission: err = %v", err)
 	}
 	cfg = baseConfig()
-	cfg.FetchFaults = func(cell int) (*fault.Schedule, error) {
-		return nil, fmt.Errorf("boom")
+	cfg.NewFetcher = func(int, *server.Server) (basestation.Fetcher, basestation.RetryConfig, error) {
+		return nil, basestation.RetryConfig{}, fmt.Errorf("boom")
 	}
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "cell 0 fault schedule") {
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "cell 0 fetch path") {
 		t.Errorf("fetch-fault constructor error: err = %v", err)
 	}
 }

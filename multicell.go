@@ -1,11 +1,12 @@
 package mobicache
 
 import (
+	"mobicache/internal/basestation"
 	"mobicache/internal/client"
 	"mobicache/internal/dissemination"
-	"mobicache/internal/fault"
 	"mobicache/internal/multicell"
 	"mobicache/internal/rng"
+	"mobicache/internal/server"
 )
 
 // MulticellConfig configures a multi-cell deployment: several wireless
@@ -61,8 +62,9 @@ type MulticellConfig struct {
 	// not overlap.
 	CellOutages []CellOutage
 	// Fault, when non-nil, injects deterministic faults into every cell's
-	// fixed-network fetch path. Each cell gets its own failure stream
-	// (same windows, different draws), so cells don't fail in lockstep.
+	// fixed-network fetch path, latency model included. Each cell gets its
+	// own failure stream (same windows, different draws), so cells don't
+	// fail in lockstep.
 	Fault *FaultConfig
 	// Resilience, when non-nil, arms every cell's station with its own
 	// circuit breaker and admission control (see ResilienceConfig).
@@ -174,10 +176,9 @@ func buildMulticell(cfg MulticellConfig) (*multicell.System, error) {
 	}
 	if cfg.Fault != nil {
 		f, seed := cfg.Fault, cfg.Seed
-		mcfg.FetchFaults = func(cell int) (*fault.Schedule, error) {
-			return f.scheduleFor(seed, uint64(cell))
+		mcfg.NewFetcher = func(cell int, srv *server.Server) (basestation.Fetcher, RetryConfig, error) {
+			return f.fetchPath(srv, seed, uint64(cell))
 		}
-		mcfg.Retry = f.Retry
 	}
 	if cfg.Resilience != nil {
 		mcfg.Resilience = cfg.Resilience.internal()

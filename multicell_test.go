@@ -41,6 +41,20 @@ func TestRunMulticellBasics(t *testing.T) {
 	if rep.Handoffs == 0 {
 		t.Fatal("no handoffs with fast mobility")
 	}
+
+	// The fault config reaches every cell's fetch path, latency model
+	// included: a base latency above the fetch timeout fails every
+	// download, exactly as it does in a single cell.
+	slow := baseMulticell()
+	slow.Fault = &FaultConfig{BaseLatency: 2, Retry: RetryConfig{MaxAttempts: 1, Timeout: 1}}
+	rep, err = RunMulticell(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Downloads != 0 || rep.FailedDownloads == 0 {
+		t.Fatalf("fetch latency 2 over timeout 1: %d downloads succeeded, %d failed; want every one failed",
+			rep.Downloads, rep.FailedDownloads)
+	}
 }
 
 func TestRunMulticellSharing(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"mobicache/internal/basestation"
 	"mobicache/internal/workload"
 )
 
@@ -46,29 +45,17 @@ func GenerateTrace(cfg SimulationConfig) ([]Request, error) {
 // the clock; cfg's Access / RequestsPerTick / Target fields are ignored.
 // Ticks up to cfg.Warmup are executed but excluded from the report.
 func ReplayTrace(cfg SimulationConfig, reqs []Request) (SimulationReport, error) {
-	var rep SimulationReport
-	st, srv, err := buildStation(cfg)
+	c, err := buildCell(cfg)
 	if err != nil {
-		return rep, err
+		return SimulationReport{}, err
 	}
 	if len(reqs) == 0 {
-		return rep, fmt.Errorf("mobicache: empty trace")
+		return SimulationReport{}, fmt.Errorf("mobicache: empty trace")
 	}
 	batches := workload.SplitByTick(reqs)
 	// SplitByTick indexes batches from the trace's lowest tick, which is
 	// not necessarily 0: replay each batch at its true tick so update
 	// schedules and the warmup cutoff stay aligned with the recording.
 	lo, _ := workload.TickBounds(reqs)
-	var totals basestation.Totals
-	for i, batch := range batches {
-		tick := lo + i
-		res, err := st.RunTick(tick, batch)
-		if err != nil {
-			return rep, err
-		}
-		if tick >= cfg.Warmup {
-			totals.Add(res)
-		}
-	}
-	return report(st, srv, totals), nil
+	return c.run(lo, lo+len(batches), cfg.Warmup, func(tick int) []Request { return batches[tick-lo] }, nil)
 }

@@ -2,14 +2,20 @@ package mobicache
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mobicache/internal/basestation"
+	"mobicache/internal/dissemination"
 	"mobicache/internal/workload"
 )
 
+// TestGenerateTraceAndReplayMatchesLive replays a configuration's own
+// trace under every strategy, with and without fetch faults: the replay
+// consumes the exact stream the live run generated, through the same
+// cell, so every measured quantity matches.
 func TestGenerateTraceAndReplayMatchesLive(t *testing.T) {
-	cfg := SimulationConfig{
+	base := SimulationConfig{
 		Objects:         60,
 		Policy:          "on-demand-stale",
 		RequestsPerTick: 15,
@@ -19,26 +25,26 @@ func TestGenerateTraceAndReplayMatchesLive(t *testing.T) {
 		Ticks:           40,
 		Seed:            5,
 	}
-	reqs, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 15*(10+40) {
-		t.Fatalf("trace has %d requests, want %d", len(reqs), 15*50)
-	}
-	live, err := RunSimulation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := ReplayTrace(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The replay consumes the exact stream the live run generated, so
-	// every measured quantity matches.
-	if live != replayed {
-		t.Fatalf("replay differs from live run:\nlive    %+v\nreplay  %+v", live, replayed)
-	}
+	eachStrategy(t, base, func(t *testing.T, cfg SimulationConfig) {
+		reqs, err := GenerateTrace(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reqs) != 15*(10+40) {
+			t.Fatalf("trace has %d requests, want %d", len(reqs), 15*50)
+		}
+		live, err := RunSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := ReplayTrace(cfg, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live != replayed {
+			t.Fatalf("replay differs from live run:\nlive    %+v\nreplay  %+v", live, replayed)
+		}
+	})
 }
 
 func TestTraceRoundTripThroughWriter(t *testing.T) {
@@ -102,10 +108,11 @@ func TestReplayUsesTraceTickNumbers(t *testing.T) {
 		t.Fatalf("stripped trace starts at tick %d, want 3", lo)
 	}
 
-	st, srv, err := buildStation(cfg)
+	c, err := buildCell(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := c.eng.(*basestation.Station)
 	var totals basestation.Totals
 	for i, batch := range workload.SplitByTick(late) {
 		tick := lo + i
@@ -117,7 +124,7 @@ func TestReplayUsesTraceTickNumbers(t *testing.T) {
 			totals.Add(res)
 		}
 	}
-	want := report(st, srv, totals)
+	want := c.report(totals, dissemination.Stats{})
 
 	got, err := ReplayTrace(cfg, late)
 	if err != nil {
@@ -177,6 +184,18 @@ func TestReplayTraceValidation(t *testing.T) {
 	cfg := SimulationConfig{Objects: 5, Ticks: 10}
 	if _, err := ReplayTrace(cfg, nil); err == nil {
 		t.Fatal("empty trace accepted")
+	}
+	// Replay builds the same cell as a live run, conflict checks included.
+	push := cfg
+	push.RequestsPerTick = 3
+	reqs, err := GenerateTrace(push)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push.Policy = "on-demand-stale"
+	push.Dissemination = &DisseminationConfig{Strategy: "broadcast-flat"}
+	if _, err := ReplayTrace(push, reqs); err == nil || !strings.Contains(err.Error(), "conflicts") {
+		t.Fatalf("policy x dissemination conflict not rejected on replay: %v", err)
 	}
 	if _, err := GenerateTrace(SimulationConfig{Objects: 5, Ticks: 0}); err == nil {
 		t.Fatal("zero ticks accepted")

@@ -57,6 +57,12 @@ fi
 # (knapsack layer) and identical plans through the selector (core layer).
 go test -race -count=1 -run Incremental ./internal/knapsack ./internal/core
 
+# The benchmark driver (bench/) is its own module importing the facade,
+# internal/runner and internal/experiment; its unit tests open no ports
+# and start no processes, so a refactor that breaks its build fails here
+# rather than only in a benchmark run.
+(cd bench && go test ./...)
+
 if [ "$FUZZTIME" != "0" ]; then
     go test -run=NONE -fuzz=FuzzSolveDP -fuzztime="$FUZZTIME" ./internal/knapsack
     go test -run=NONE -fuzz=FuzzIncremental -fuzztime="$FUZZTIME" ./internal/knapsack

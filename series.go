@@ -1,10 +1,6 @@
 package mobicache
 
-import (
-	"mobicache/internal/basestation"
-	"mobicache/internal/dissemination"
-	"mobicache/internal/multicell"
-)
+import "mobicache/internal/multicell"
 
 // This file is the per-tick observation surface used by the experiment
 // runner (cmd/experiment-runner): the same simulations RunSimulation and
@@ -21,43 +17,18 @@ import (
 // from sample aborts the run and is returned; a nil sample makes this
 // identical to RunSimulation.
 func RunSimulationTicks(cfg SimulationConfig, sample func(ticks int, rep SimulationReport) error) (SimulationReport, error) {
-	var rep SimulationReport
 	if err := validateHorizon(cfg); err != nil {
-		return rep, err
+		return SimulationReport{}, err
 	}
-	if strat, err := cfg.Dissemination.strategy(); err != nil {
-		return rep, err
-	} else if strat != dissemination.OnDemand {
-		return runDissemination(cfg, strat, sample)
-	}
-	st, srv, err := buildStation(cfg)
+	c, err := buildCell(cfg)
 	if err != nil {
-		return rep, err
+		return SimulationReport{}, err
 	}
 	gen, _, err := buildGenerator(cfg)
 	if err != nil {
-		return rep, err
+		return SimulationReport{}, err
 	}
-	if _, err := st.Run(0, cfg.Warmup, gen); err != nil {
-		return rep, err
-	}
-	// The measured phase of station.Run, unrolled one tick at a time so
-	// the accumulating totals can be observed between ticks.
-	var totals basestation.Totals
-	for t := 0; t < cfg.Ticks; t++ {
-		tick := cfg.Warmup + t
-		res, err := st.RunTick(tick, gen.Tick(tick))
-		if err != nil {
-			return rep, err
-		}
-		totals.Add(res)
-		if sample != nil {
-			if err := sample(t+1, report(st, srv, totals)); err != nil {
-				return rep, err
-			}
-		}
-	}
-	return report(st, srv, totals), nil
+	return c.run(0, cfg.Warmup+cfg.Ticks, cfg.Warmup, gen.Tick, sample)
 }
 
 // RunMulticellTicks runs the configured multi-cell deployment exactly as

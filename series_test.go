@@ -2,17 +2,62 @@ package mobicache
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"mobicache/internal/basestation"
+	"mobicache/internal/dissemination"
+	"mobicache/internal/server"
 )
 
+// buildStation builds cfg's on-demand cell and returns its knapsack
+// station with the update server it ticks.
+func buildStation(cfg SimulationConfig) (*basestation.Station, *server.Server, error) {
+	c, err := buildCell(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, ok := c.eng.(*basestation.Station)
+	if !ok {
+		return nil, nil, fmt.Errorf("strategy %q runs no station", cfg.Dissemination.Strategy)
+	}
+	return st, c.srv, nil
+}
+
+// eachStrategy runs check on base under every dissemination strategy,
+// over the ideal fetch path and under the experiment runner's "flaky"
+// profile (15% of fetches fail; three attempts with capped backoff).
+// Push strategies replace the refresh policy, so their rows clear it.
+func eachStrategy(t *testing.T, base SimulationConfig, check func(t *testing.T, cfg SimulationConfig)) {
+	flaky := &FaultConfig{
+		FailureProb: 0.15,
+		Retry:       RetryConfig{MaxAttempts: 3, BaseBackoff: 0.5, MaxBackoff: 4},
+	}
+	for _, strat := range dissemination.Names() {
+		for _, fault := range []*FaultConfig{nil, flaky} {
+			cfg := base
+			cfg.Dissemination = &DisseminationConfig{Strategy: strat}
+			if strat != "on-demand" {
+				cfg.Policy = ""
+			}
+			cfg.Fault = fault
+			name := strat + "/ideal"
+			if fault != nil {
+				name = strat + "/flaky"
+			}
+			t.Run(name, func(t *testing.T) { check(t, cfg) })
+		}
+	}
+}
+
 // TestRunSimulationTicksMatchesRunSimulation pins the sampled entry
-// point's contract on the default on-demand path: sample fires once per
-// measured tick with 1-based counts, the last sampled report equals the
-// returned report, and the returned report is identical to the
-// unsampled RunSimulation's.
+// point's contract under every strategy, with and without fetch faults:
+// sample fires once per measured tick with 1-based counts, the last
+// sampled report equals the returned report, and the returned report is
+// identical to the unsampled RunSimulation's.
 func TestRunSimulationTicksMatchesRunSimulation(t *testing.T) {
-	cfg := SimulationConfig{
+	base := SimulationConfig{
 		Objects:         50,
 		BudgetPerTick:   8,
 		RequestsPerTick: 25,
@@ -21,39 +66,41 @@ func TestRunSimulationTicksMatchesRunSimulation(t *testing.T) {
 		Ticks:           40,
 		Seed:            11,
 	}
-	want, err := RunSimulation(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls int
-	var last SimulationReport
-	got, err := RunSimulationTicks(cfg, func(n int, rep SimulationReport) error {
-		calls++
-		if n != calls {
-			t.Fatalf("sample #%d reported n=%d", calls, n)
+	eachStrategy(t, base, func(t *testing.T, cfg SimulationConfig) {
+		want, err := RunSimulation(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		last = rep
-		return nil
+		var calls int
+		var last SimulationReport
+		got, err := RunSimulationTicks(cfg, func(n int, rep SimulationReport) error {
+			calls++
+			if n != calls {
+				t.Fatalf("sample #%d reported n=%d", calls, n)
+			}
+			last = rep
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != cfg.Ticks {
+			t.Fatalf("sample fired %d times, want %d", calls, cfg.Ticks)
+		}
+		if got != want {
+			t.Fatalf("sampled run diverged from RunSimulation:\n%+v\n%+v", got, want)
+		}
+		if last != want {
+			t.Fatalf("final sample diverged from returned report:\n%+v\n%+v", last, want)
+		}
+		unsampled, err := RunSimulationTicks(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unsampled != want {
+			t.Fatalf("nil-sample run diverged:\n%+v\n%+v", unsampled, want)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != cfg.Ticks {
-		t.Fatalf("sample fired %d times, want %d", calls, cfg.Ticks)
-	}
-	if got != want {
-		t.Fatalf("sampled run diverged from RunSimulation:\n%+v\n%+v", got, want)
-	}
-	if last != want {
-		t.Fatalf("final sample diverged from returned report:\n%+v\n%+v", last, want)
-	}
-	unsampled, err := RunSimulationTicks(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unsampled != want {
-		t.Fatalf("nil-sample run diverged:\n%+v\n%+v", unsampled, want)
-	}
 }
 
 // TestRunSimulationTicksDissemination is the fails-before test for the

@@ -75,16 +75,17 @@ type FaultConfig struct {
 	Retry RetryConfig
 }
 
-// schedule compiles the configuration into a seeded fault.Schedule.
-func (f *FaultConfig) schedule(simSeed uint64) (*fault.Schedule, error) {
-	return f.scheduleFor(simSeed, 0)
-}
-
-// scheduleFor builds cell's copy of the schedule for a multi-cell
-// deployment: identical windows and probabilities, but a per-cell failure
-// stream (splitmix64 golden-ratio mixing), so cells don't fail in
-// lockstep unless their outage windows say so.
-func (f *FaultConfig) scheduleFor(simSeed uint64, cell uint64) (*fault.Schedule, error) {
+// fetchPath compiles the configuration into cell's fault-injected fetch
+// path over srv: a seeded fault.Schedule, the fault-free latency model,
+// and the station's retry policy. Both engines build their fetch paths
+// here. Each cell of a multi-cell deployment gets identical windows and
+// probabilities but its own failure stream (splitmix64 golden-ratio
+// mixing), so cells don't fail in lockstep unless their outage windows
+// say so. A nil config is the paper's ideal path: no Fetcher at all.
+func (f *FaultConfig) fetchPath(srv *server.Server, simSeed, cell uint64) (basestation.Fetcher, RetryConfig, error) {
+	if f == nil {
+		return nil, RetryConfig{}, nil
+	}
 	servers := f.Servers
 	if servers == 0 {
 		servers = 1
@@ -97,29 +98,37 @@ func (f *FaultConfig) scheduleFor(simSeed uint64, cell uint64) (*fault.Schedule,
 	seed += cell * 0x9e3779b97f4a7c15
 	sched, err := fault.NewSchedule(servers, seed)
 	if err != nil {
-		return nil, err
+		return nil, RetryConfig{}, err
 	}
 	if f.FailureProb != 0 {
 		if err := sched.SetFailureProb(fault.AllServers, f.FailureProb); err != nil {
-			return nil, err
+			return nil, RetryConfig{}, err
 		}
 	}
 	for _, w := range f.Outages {
 		if err := sched.AddOutage(w.Server, fault.Window{From: w.From, To: w.To, Every: w.Every}); err != nil {
-			return nil, err
+			return nil, RetryConfig{}, err
 		}
 	}
 	for _, sp := range f.Spikes {
 		if err := sched.AddSpike(sp.Server, fault.Window{From: sp.From, To: sp.To, Every: sp.Every}, sp.Factor); err != nil {
-			return nil, err
+			return nil, RetryConfig{}, err
 		}
 	}
 	if f.SlowStartTicks != 0 || f.SlowStartFactor != 0 {
 		if err := sched.SetSlowStart(fault.AllServers, f.SlowStartTicks, f.SlowStartFactor); err != nil {
-			return nil, err
+			return nil, RetryConfig{}, err
 		}
 	}
-	return sched, nil
+	var latency server.LatencyModel
+	if f.BaseLatency != 0 || f.PerUnitLatency != 0 {
+		latency = server.SizeProportionalLatency{Setup: f.BaseLatency, PerUnit: f.PerUnitLatency}
+	}
+	fs, err := server.NewFaultyServer(srv, sched, latency)
+	if err != nil {
+		return nil, RetryConfig{}, err
+	}
+	return fs, f.Retry, nil
 }
 
 // DisseminationConfig selects how the cell delivers data to its clients.
@@ -166,17 +175,6 @@ func (d *DisseminationConfig) strategy() (dissemination.Strategy, error) {
 		return s, fmt.Errorf("mobicache: %w", err)
 	}
 	return s, nil
-}
-
-// cellConfig compiles the public knobs into the internal cell config.
-func (d *DisseminationConfig) cellConfig(cat *catalog.Catalog, s dissemination.Strategy, seed uint64, m *StationMetrics) dissemination.Config {
-	return dissemination.Config{
-		Catalog:  cat,
-		Strategy: s,
-		Knobs:    d.knobs(),
-		Metrics:  m,
-		Seed:     seed,
-	}
 }
 
 // knobs maps the public tuning fields onto the internal knob set.
@@ -296,133 +294,147 @@ type SimulationReport struct {
 // RunSimulation builds and runs the configured system, returning the
 // measured-phase report.
 func RunSimulation(cfg SimulationConfig) (SimulationReport, error) {
-	var rep SimulationReport
-	if err := validateHorizon(cfg); err != nil {
-		return rep, err
-	}
-	if strat, err := cfg.Dissemination.strategy(); err != nil {
-		return rep, err
-	} else if strat != dissemination.OnDemand {
-		return runDissemination(cfg, strat, nil)
-	}
-	st, srv, err := buildStation(cfg)
-	if err != nil {
-		return rep, err
-	}
-	gen, _, err := buildGenerator(cfg)
-	if err != nil {
-		return rep, err
-	}
-	if _, err := st.Run(0, cfg.Warmup, gen); err != nil {
-		return rep, err
-	}
-	totals, err := st.Run(cfg.Warmup, cfg.Ticks, gen)
-	if err != nil {
-		return rep, err
-	}
-	return report(st, srv, totals), nil
+	return RunSimulationTicks(cfg, nil)
 }
 
-// runDissemination runs the simulation with a push/broadcast cell in
-// place of the pull-based station. The workload side (catalog, update
-// schedule, request generator, fault injection) is built exactly as for
-// the station so the two paths answer the same question under the same
-// load. A non-nil sample is invoked after every measured tick, exactly
-// as in RunSimulationTicks; sampling never perturbs the run.
-func runDissemination(cfg SimulationConfig, strat dissemination.Strategy, sample func(int, SimulationReport) error) (SimulationReport, error) {
-	var rep SimulationReport
-	if cfg.Policy != "" {
-		return rep, fmt.Errorf("mobicache: policy %q conflicts with dissemination strategy %q (push strategies replace the refresh policy)", cfg.Policy, strat)
+// cellEngine is what the single-cell tick loop drives: the knapsack
+// station or a push/broadcast dissemination cell.
+type cellEngine interface {
+	ServeTick(tick int, reqs []client.Request, updated []catalog.ID) (basestation.TickResult, error)
+}
+
+// singleCell is one built cell of the paper's Figure 1 architecture: the
+// update server and the engine serving the cell's clients.
+type singleCell struct {
+	srv *server.Server
+	eng cellEngine
+}
+
+// buildCell assembles catalog, update server and fetch path, then either
+// the knapsack station or, under a push strategy, a dissemination cell.
+// It is the one builder behind every single-cell entry point, so live,
+// sampled and replayed runs answer the same question under the same load.
+func buildCell(cfg SimulationConfig) (*singleCell, error) {
+	strat, err := cfg.Dissemination.strategy()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Resilience != nil {
-		return rep, fmt.Errorf("mobicache: resilience layer guards the station's fetch path; it does not compose with dissemination strategy %q", strat)
+	if strat != dissemination.OnDemand {
+		if cfg.Policy != "" {
+			return nil, fmt.Errorf("mobicache: policy %q conflicts with dissemination strategy %q (push strategies replace the refresh policy)", cfg.Policy, strat)
+		}
+		if cfg.Resilience != nil {
+			return nil, fmt.Errorf("mobicache: resilience layer guards the station's fetch path; it does not compose with dissemination strategy %q", strat)
+		}
 	}
 	cat, err := buildCatalog(cfg)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	period := cfg.UpdatePeriod
 	if period == 0 {
 		period = 5
 	}
 	if period < 0 {
-		return rep, fmt.Errorf("mobicache: negative update period %d", period)
+		return nil, fmt.Errorf("mobicache: negative update period %d", period)
 	}
 	srv := server.New(cat, catalog.NewPeriodicAll(cat, period))
-	dcfg := cfg.Dissemination.cellConfig(cat, strat, cfg.Seed, cfg.Metrics)
-	if cfg.Fault != nil {
-		sched, err := cfg.Fault.schedule(cfg.Seed)
-		if err != nil {
-			return rep, err
-		}
-		var latency server.LatencyModel
-		if cfg.Fault.BaseLatency != 0 || cfg.Fault.PerUnitLatency != 0 {
-			latency = server.SizeProportionalLatency{Setup: cfg.Fault.BaseLatency, PerUnit: cfg.Fault.PerUnitLatency}
-		}
-		fetcher, err := server.NewFaultyServer(srv, sched, latency)
-		if err != nil {
-			return rep, err
-		}
-		dcfg.Fetcher = fetcher
-		dcfg.Retry = cfg.Fault.Retry
-	}
-	cell, err := dissemination.New(dcfg)
+	fetcher, retry, err := cfg.Fault.fetchPath(srv, cfg.Seed, 0)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	gen, _, err := buildGenerator(cfg)
+	c := &singleCell{srv: srv}
+	if strat != dissemination.OnDemand {
+		c.eng, err = dissemination.New(dissemination.Config{
+			Catalog:  cat,
+			Strategy: strat,
+			Knobs:    cfg.Dissemination.knobs(),
+			Fetcher:  fetcher,
+			Retry:    retry,
+			Metrics:  cfg.Metrics,
+			Seed:     cfg.Seed,
+		})
+	} else {
+		c.eng, err = newStation(cfg, cat, srv, fetcher, retry)
+	}
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	for tick := 0; tick < cfg.Warmup; tick++ {
-		if _, err := cell.ServeTick(tick, gen.Tick(tick), srv.Tick(tick)); err != nil {
-			return rep, err
-		}
-	}
-	warm := cell.Stats()
+	return c, nil
+}
+
+// run is the single-cell tick loop: it serves ticks [from, to) with each
+// tick's requests from reqs. Ticks before warmup are served but not
+// measured; a non-nil sample sees the report after every measured tick
+// (1-based count) and aborts the run by returning an error. Sampling
+// never perturbs the run.
+func (c *singleCell) run(from, to, warmup int, reqs func(tick int) []client.Request, sample func(int, SimulationReport) error) (SimulationReport, error) {
 	var totals basestation.Totals
-	for t := 0; t < cfg.Ticks; t++ {
-		tick := cfg.Warmup + t
-		res, err := cell.ServeTick(tick, gen.Tick(tick), srv.Tick(tick))
+	var warm dissemination.Stats
+	for tick := from; tick < to; tick++ {
+		res, err := c.eng.ServeTick(tick, reqs(tick), c.srv.Tick(tick))
 		if err != nil {
-			return rep, err
+			return SimulationReport{}, err
+		}
+		if tick < warmup {
+			if dc, ok := c.eng.(*dissemination.Cell); ok {
+				warm = dc.Stats()
+			}
+			continue
 		}
 		totals.Add(res)
 		if sample != nil {
-			if err := sample(t+1, disseminationReport(strat, srv, totals, warm, cell.Stats())); err != nil {
-				return rep, err
+			if err := sample(totals.Ticks, c.report(totals, warm)); err != nil {
+				return SimulationReport{}, err
 			}
 		}
 	}
-	return disseminationReport(strat, srv, totals, warm, cell.Stats()), nil
+	return c.report(totals, warm), nil
 }
 
-// disseminationReport folds the measured-phase totals and the cell's
-// cumulative stats (less the warmup snapshot) into a report.
-func disseminationReport(strat dissemination.Strategy, srv *server.Server, totals basestation.Totals, warm, st dissemination.Stats) SimulationReport {
+// report folds the measured-phase totals and the engine's own counters
+// into the public report. warm is a dissemination cell's counters at the
+// end of warmup.
+func (c *singleCell) report(totals basestation.Totals, warm dissemination.Stats) SimulationReport {
 	rep := SimulationReport{
-		Ticks:               totals.Ticks,
-		Requests:            totals.Requests,
-		Downloads:           totals.Downloads(),
-		DownloadUnits:       totals.DownloadUnits,
-		MeanScore:           totals.MeanScore(),
-		MeanRecency:         totals.MeanRecency(),
-		ServerUpdates:       srv.TotalUpdates(),
-		FailedDownloads:     totals.FailedDownloads,
-		Retries:             totals.Retries,
-		Dissemination:       strat.String(),
-		InvalidationReports: st.ReportsBroadcast - warm.ReportsBroadcast,
-		InvalidatedEntries:  st.Invalidated - warm.Invalidated,
-		TerminalPurges:      st.Purges - warm.Purges,
-		PushServed:          st.PushServed - warm.PushServed,
-		PullServed:          st.PullServed - warm.PullServed,
-		PushUnits:           st.PushUnits - warm.PushUnits,
+		Ticks:           totals.Ticks,
+		Requests:        totals.Requests,
+		Downloads:       totals.Downloads(),
+		DownloadUnits:   totals.DownloadUnits,
+		MeanScore:       totals.MeanScore(),
+		MeanRecency:     totals.MeanRecency(),
+		ServerUpdates:   c.srv.TotalUpdates(),
+		FailedDownloads: totals.FailedDownloads,
+		Retries:         totals.Retries,
+		StaleFallbacks:  totals.StaleFallbacks,
+		ShedRequests:    totals.Shed,
+		ShortCircuits:   totals.ShortCircuits,
+		BreakerTrips:    totals.BreakerTrips,
+		BreakerProbes:   totals.BreakerProbes,
+		DegradedTicks:   totals.DegradedTicks,
+		ShedTicks:       totals.ShedTicks,
 	}
-	if served := rep.PushServed + rep.PullServed; served > 0 {
-		rep.MeanWaitSlots = float64(st.WaitSlots-warm.WaitSlots) / float64(served)
+	if fetches := rep.Downloads + rep.FailedDownloads; fetches > 0 {
+		rep.MeanFetchLatency = totals.FetchLatency / float64(fetches)
 	}
-	if rep.Downloads > 0 {
-		rep.MeanFetchLatency = totals.FetchLatency / float64(rep.Downloads+rep.FailedDownloads)
+	switch e := c.eng.(type) {
+	case *basestation.Station:
+		stats := e.Cache().Stats()
+		if lookups := stats.Hits + stats.Misses; lookups > 0 {
+			rep.CacheHitRate = float64(stats.Hits) / float64(lookups)
+		}
+	case *dissemination.Cell:
+		st := e.Stats()
+		rep.Dissemination = e.Strategy().String()
+		rep.InvalidationReports = st.ReportsBroadcast - warm.ReportsBroadcast
+		rep.InvalidatedEntries = st.Invalidated - warm.Invalidated
+		rep.TerminalPurges = st.Purges - warm.Purges
+		rep.PushServed = st.PushServed - warm.PushServed
+		rep.PullServed = st.PullServed - warm.PullServed
+		rep.PushUnits = st.PushUnits - warm.PushUnits
+		if served := rep.PushServed + rep.PullServed; served > 0 {
+			rep.MeanWaitSlots = float64(st.WaitSlots-warm.WaitSlots) / float64(served)
+		}
 	}
 	return rep
 }
@@ -452,27 +464,16 @@ func buildCatalog(cfg SimulationConfig) (*catalog.Catalog, error) {
 	return catalog.New(sizes)
 }
 
-// buildStation assembles catalog, server, cache, policy, and station.
-func buildStation(cfg SimulationConfig) (*basestation.Station, *server.Server, error) {
-	cat, err := buildCatalog(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	period := cfg.UpdatePeriod
-	if period == 0 {
-		period = 5
-	}
-	if period < 0 {
-		return nil, nil, fmt.Errorf("mobicache: negative update period %d", period)
-	}
-	srv := server.New(cat, catalog.NewPeriodicAll(cat, period))
+// newStation builds the knapsack station of a cell: refresh policy,
+// cache, and the resilience layer guarding the given fetch path.
+func newStation(cfg SimulationConfig, cat *catalog.Catalog, srv *server.Server, fetcher basestation.Fetcher, retry RetryConfig) (*basestation.Station, error) {
 	pol, err := buildPolicy(cfg, cat)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c, err := buildCache(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bcfg := basestation.Config{
 		Catalog:          cat,
@@ -481,57 +482,25 @@ func buildStation(cfg SimulationConfig) (*basestation.Station, *server.Server, e
 		Cache:            c,
 		BudgetPerTick:    cfg.BudgetPerTick,
 		CompulsoryMisses: cfg.CacheCapacity == 0,
+		Fetcher:          fetcher,
+		Retry:            retry,
 		Metrics:          cfg.Metrics,
-	}
-	if cfg.Fault != nil {
-		sched, err := cfg.Fault.schedule(cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		var latency server.LatencyModel
-		if cfg.Fault.BaseLatency != 0 || cfg.Fault.PerUnitLatency != 0 {
-			latency = server.SizeProportionalLatency{Setup: cfg.Fault.BaseLatency, PerUnit: cfg.Fault.PerUnitLatency}
-		}
-		fetcher, err := server.NewFaultyServer(srv, sched, latency)
-		if err != nil {
-			return nil, nil, err
-		}
-		bcfg.Fetcher = fetcher
-		bcfg.Retry = cfg.Fault.Retry
 	}
 	if cfg.Resilience != nil {
 		rc := cfg.Resilience.internal()
 		if err := rc.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("mobicache: %w", err)
+			return nil, fmt.Errorf("mobicache: %w", err)
 		}
 		if rc.Breaker.Enabled() {
-			if bcfg.Fetcher == nil {
-				// A breaker needs a fetch path that can report failure;
-				// without a Fault config install a fault-free schedule,
-				// behaviourally identical to the ideal direct path.
-				sched, err := fault.NewSchedule(1, cfg.Seed^0x5fa17bea7e12c0de)
-				if err != nil {
-					return nil, nil, err
-				}
-				fetcher, err := server.NewFaultyServer(srv, sched, nil)
-				if err != nil {
-					return nil, nil, err
-				}
-				bcfg.Fetcher = fetcher
-			}
 			b, err := resilience.NewBreaker(rc.Breaker)
 			if err != nil {
-				return nil, nil, fmt.Errorf("mobicache: %w", err)
+				return nil, fmt.Errorf("mobicache: %w", err)
 			}
 			bcfg.Breaker = b
 		}
 		bcfg.Admission = rc.Admission
 	}
-	st, err := basestation.New(bcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, srv, nil
+	return basestation.New(bcfg)
 }
 
 // buildGenerator assembles the client request generator.
@@ -562,36 +531,6 @@ func buildGenerator(cfg SimulationConfig) (*client.Generator, *catalog.Catalog, 
 		return nil, nil, err
 	}
 	return gen, cat, nil
-}
-
-// report converts station totals into the public report type.
-func report(st *basestation.Station, srv *server.Server, totals basestation.Totals) SimulationReport {
-	rep := SimulationReport{
-		Ticks:           totals.Ticks,
-		Requests:        totals.Requests,
-		Downloads:       totals.Downloads(),
-		DownloadUnits:   totals.DownloadUnits,
-		MeanScore:       totals.MeanScore(),
-		MeanRecency:     totals.MeanRecency(),
-		ServerUpdates:   srv.TotalUpdates(),
-		FailedDownloads: totals.FailedDownloads,
-		Retries:         totals.Retries,
-		StaleFallbacks:  totals.StaleFallbacks,
-		ShedRequests:    totals.Shed,
-		ShortCircuits:   totals.ShortCircuits,
-		BreakerTrips:    totals.BreakerTrips,
-		BreakerProbes:   totals.BreakerProbes,
-		DegradedTicks:   totals.DegradedTicks,
-		ShedTicks:       totals.ShedTicks,
-	}
-	if lat := st.FetchLatency(); lat.N() > 0 {
-		rep.MeanFetchLatency = lat.Mean()
-	}
-	stats := st.Cache().Stats()
-	if lookups := stats.Hits + stats.Misses; lookups > 0 {
-		rep.CacheHitRate = float64(stats.Hits) / float64(lookups)
-	}
-	return rep
 }
 
 func buildPolicy(cfg SimulationConfig, cat *catalog.Catalog) (policy.Policy, error) {
