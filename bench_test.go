@@ -327,8 +327,8 @@ func BenchmarkReplacement(b *testing.B) {
 	}
 }
 
-// BenchmarkFullSystem times the event-driven latency study at reduced
-// scale (processor-sharing fixed link + FIFO downlink).
+// BenchmarkFullSystem times the Figure 1 latency study at reduced scale
+// (the tick station feeding fluid FIFO fixed-link and downlink queues).
 func BenchmarkFullSystem(b *testing.B) {
 	cfg := experiment.DefaultFullSystemStudy()
 	cfg.Objects, cfg.RatePerTick, cfg.Ticks = 50, 10, 60

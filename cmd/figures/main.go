@@ -10,7 +10,7 @@
 //	figures -fig table1             # Table 1
 //	figures -fig replacement        # limited-cache extension study
 //	figures -fig ablation           # knapsack solver ablation
-//	figures -fig fullsystem         # event-driven latency study
+//	figures -fig fullsystem         # Figure 1 latency/utilization study
 package main
 
 import (
@@ -113,6 +113,11 @@ func writeMetricsSnapshot(path string) error {
 }
 
 func run(which string) error {
+	switch *format {
+	case "table", "csv", "plot":
+	default:
+		return fmt.Errorf("unknown format %q (want table, csv, or plot)", *format)
+	}
 	type figure struct {
 		name string
 		f    func() error

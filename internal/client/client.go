@@ -1,7 +1,7 @@
 // Package client models the mobile clients of the paper's architecture:
 // request generation against a popularity distribution, per-client target
 // recency preferences, and a simple mobility model (cell residence and
-// disconnection) for the full-system simulation.
+// disconnection) for the multi-cell simulation.
 package client
 
 import (

@@ -58,7 +58,7 @@ type clientState struct {
 }
 
 // Population tracks which clients are connected to which cell over time.
-// It exists for the full-system simulation: the paper notes a client "may
+// It exists for the multi-cell simulation: the paper notes a client "may
 // be connected to the base station in its cell for a short period of time,
 // and then disconnect or move to a different cell, so the base station
 // must serve client requests in a timely manner".

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -358,42 +360,95 @@ func TestSolverAblation(t *testing.T) {
 	}
 }
 
+// TestFullSystemStudySmall pins study E4 (Figure 1's latency and
+// utilization trade-off): the quick and the default configuration are
+// each deterministic and show the claim's direction, the default's
+// series are pinned exactly, and non-positive bandwidths are refused.
 func TestFullSystemStudySmall(t *testing.T) {
-	cfg := DefaultFullSystemStudy()
-	cfg.Objects = 50
-	cfg.RatePerTick = 10
-	cfg.Ticks = 60
-	cfg.Budgets = []int64{2, 20}
+	small := DefaultFullSystemStudy()
+	small.Objects, small.RatePerTick, small.Ticks = 50, 10, 60
+	small.Budgets = []int64{2, 20}
+	checkFullSystemStudy(t, small)
+
+	latFig, utilFig := checkFullSystemStudy(t, DefaultFullSystemStudy())
+	want := map[string][]float64{
+		"mean latency":           {0.4362055555556139, 0.4355377777778353, 0.8253033333334473, 1.4177933333335457, 1.4177933333335457},
+		"mean client score":      {0.6763591691097579, 0.8132749206349211, 0.9800666666666665, 1, 1},
+		"fixed-link utilization": {0.263, 0.5066666666666667, 0.8086913086913095, 0.8678250249805715, 0.8678250249805715},
+		"downlink utilization":   {0.8125555555558427, 0.7735555555558116, 0.7463092463094817, 0.7449761296771521, 0.7449761296771521},
+	}
+	for _, s := range append(latFig.Series, utilFig.Series...) {
+		if !slices.Equal(s.Y, want[s.Name]) {
+			t.Errorf("%s drifted:\n got %v\nwant %v", s.Name, s.Y, want[s.Name])
+		}
+		delete(want, s.Name)
+	}
+	if len(want) != 0 {
+		t.Errorf("missing series: %v", want)
+	}
+
+	for _, bw := range []float64{0, -1} {
+		cfg := small
+		cfg.FixedBandwidth = bw
+		if _, _, err := FullSystemStudy(cfg); err == nil {
+			t.Errorf("fixed bandwidth %v accepted", bw)
+		}
+		cfg = small
+		cfg.DownlinkBandwidth = bw
+		if _, _, err := FullSystemStudy(cfg); err == nil {
+			t.Errorf("downlink bandwidth %v accepted", bw)
+		}
+	}
+}
+
+// checkFullSystemStudy runs E4 twice on cfg, requires identical figures,
+// and checks the direction of the paper's §1 argument across the budget
+// sweep: a larger budget never lowers the score or the fixed-link load,
+// the largest budget waits longer than the smallest and leaves more of
+// the downlink idle, and every utilization is a fraction.
+func checkFullSystemStudy(t *testing.T, cfg FullSystemStudyConfig) (latFig, utilFig *metrics.Figure) {
+	t.Helper()
 	latFig, utilFig, err := FullSystemStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	latAgain, utilAgain, err := FullSystemStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(latFig, latAgain) || !reflect.DeepEqual(utilFig, utilAgain) {
+		t.Fatalf("budgets %v: two runs of one config differ:\n%s%s\nvs\n%s%s",
+			cfg.Budgets, latFig.Table(), utilFig.Table(), latAgain.Table(), utilAgain.Table())
+	}
 	lat := latFig.Lookup("mean latency")
-	if lat == nil || lat.Len() != 2 {
-		t.Fatal("latency series malformed")
-	}
-	for _, y := range lat.Y {
-		if y <= 0 {
-			t.Fatalf("non-positive latency %v", y)
-		}
-	}
 	score := utilFig.Lookup("mean client score")
-	if score == nil {
-		t.Fatal("missing score series")
+	linkU := utilFig.Lookup("fixed-link utilization")
+	downU := utilFig.Lookup("downlink utilization")
+	if lat == nil || score == nil || linkU == nil || downU == nil {
+		t.Fatal("full-system figures miss a series")
 	}
-	// A larger budget yields fresher data, hence a better score.
-	if score.Y[1] < score.Y[0] {
-		t.Fatalf("score fell with budget: %v", score.Y)
+	n := lat.Len()
+	if n < 2 {
+		t.Fatalf("latency series has %d points", n)
 	}
-	for _, name := range []string{"fixed-link utilization", "downlink utilization"} {
-		s := utilFig.Lookup(name)
-		if s == nil {
-			t.Fatalf("missing %s", name)
+	for i := 1; i < n; i++ {
+		if score.Y[i] < score.Y[i-1] || linkU.Y[i] < linkU.Y[i-1] {
+			t.Errorf("budget %v: score %v or fixed-link utilization %v fell with budget",
+				score.X[i], score.Y, linkU.Y)
 		}
+	}
+	if lat.Y[n-1] <= lat.Y[0] {
+		t.Errorf("latency did not rise with budget: %v", lat.Y)
+	}
+	if downU.Y[n-1] >= downU.Y[0] {
+		t.Errorf("downlink utilization did not fall with budget: %v", downU.Y)
+	}
+	for _, s := range []*metrics.Series{linkU, downU} {
 		for _, y := range s.Y {
 			if y < 0 || y > 1 {
-				t.Fatalf("%s out of [0,1]: %v", name, y)
+				t.Errorf("%s out of [0,1]: %v", s.Name, s.Y)
 			}
 		}
 	}
+	return latFig, utilFig
 }

@@ -229,11 +229,10 @@ func RenderSolverAblation(rows []SolverAblationRow) string {
 		metrics.RenderTable([]string{"solver", "profit", "fraction-of-optimal", "time"}, cells)
 }
 
-// FullSystemConfig parameterizes the event-driven latency/utilization
-// study (the Figure 1 architecture made executable).
+// FullSystemStudyConfig parameterizes the latency/utilization study (the
+// Figure 1 architecture made executable).
 type FullSystemStudyConfig struct {
 	Objects           int
-	Servers           int
 	UpdatePeriod      int
 	RatePerTick       int
 	Ticks             int
@@ -247,7 +246,6 @@ type FullSystemStudyConfig struct {
 func DefaultFullSystemStudy() FullSystemStudyConfig {
 	return FullSystemStudyConfig{
 		Objects:           200,
-		Servers:           4,
 		UpdatePeriod:      5,
 		RatePerTick:       50,
 		Ticks:             300,
@@ -258,11 +256,19 @@ func DefaultFullSystemStudy() FullSystemStudyConfig {
 	}
 }
 
+// fixedLinkDelay is the fixed network's propagation delay in ticks,
+// added after a tick's downloads finish transmitting.
+const fixedLinkDelay = 0.1
+
 // FullSystemStudy sweeps the per-tick download budget and reports mean
 // request latency, mean client score, and channel utilizations — the
 // paper's qualitative claim that downloading too much data increases
 // latency while downloading too little wastes recency.
 func FullSystemStudy(cfg FullSystemStudyConfig) (*metrics.Figure, *metrics.Figure, error) {
+	if cfg.FixedBandwidth <= 0 || cfg.DownlinkBandwidth <= 0 {
+		return nil, nil, fmt.Errorf("experiment: bandwidths must be positive (fixed %v, downlink %v)",
+			cfg.FixedBandwidth, cfg.DownlinkBandwidth)
+	}
 	latFig := metrics.NewFigure("Full system: request latency vs download budget",
 		"download budget (units/tick)", "mean latency (ticks)")
 	utilFig := metrics.NewFigure("Full system: utilization and score vs download budget",
@@ -273,42 +279,126 @@ func FullSystemStudy(cfg FullSystemStudyConfig) (*metrics.Figure, *metrics.Figur
 	downU := utilFig.AddSeries("downlink utilization")
 
 	for _, budget := range cfg.Budgets {
-		cat, err := catalog.Uniform(cfg.Objects, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		gen, err := client.NewGenerator(client.GeneratorConfig{
-			Catalog:     cat,
-			Pattern:     rng.Zipf,
-			RatePerTick: cfg.RatePerTick,
-			Seed:        cfg.Seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := basestation.NewFullSystem(basestation.FullSystemConfig{
-			Catalog:           cat,
-			Servers:           cfg.Servers,
-			Schedule:          catalog.NewPeriodicAll(cat, cfg.UpdatePeriod),
-			FixedBandwidth:    cfg.FixedBandwidth,
-			FixedLatency:      0.1,
-			DownlinkBandwidth: cfg.DownlinkBandwidth,
-			Policy:            policy.OnDemandLowestRecency{},
-			BudgetPerTick:     budget,
-			Generator:         gen,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := fs.Run(cfg.Ticks)
+		r, err := fullSystemRun(cfg, budget)
 		if err != nil {
 			return nil, nil, err
 		}
 		x := float64(budget)
-		latency.Add(x, res.Latency.Mean())
-		score.Add(x, res.Score.Mean())
-		linkU.Add(x, res.LinkUtilization)
-		downU.Add(x, res.DownlinkUtilization)
+		latency.Add(x, r.latency)
+		score.Add(x, r.score)
+		linkU.Add(x, r.linkUtil)
+		downU.Add(x, r.downUtil)
 	}
 	return latFig, utilFig, nil
+}
+
+// fullSystemPoint is one budget's row of the full-system study.
+type fullSystemPoint struct {
+	latency, score, linkUtil, downUtil float64
+}
+
+// fluidQueue is a FIFO channel of fixed bandwidth: work arriving at time
+// at starts once the backlog ahead of it has drained.
+type fluidQueue struct {
+	bandwidth float64
+	free      float64 // when the current backlog finishes
+	busy      float64 // total transmission time
+}
+
+// push queues size units arriving at time at and returns when they finish.
+func (q *fluidQueue) push(at, size float64) float64 {
+	d := size / q.bandwidth
+	q.free = max(q.free, at) + d
+	q.busy += d
+	return q.free
+}
+
+// fullSystemRun drives the tick station for one budget and feeds each
+// tick's traffic through the two channels of Figure 1, in tick order.
+// The fixed link carries the tick's download units, then the propagation
+// delay. The downlink airs each cache-served request's copy from the
+// tick, then each downloaded object once, when it lands, answering every
+// request waiting on it; the next tick's traffic queues behind, so a slow
+// fixed link leaves the downlink idle. Latency is the end of the airing
+// minus the request's tick; utilization is busy time over the horizon,
+// including the drain.
+func fullSystemRun(cfg FullSystemStudyConfig, budget int64) (fullSystemPoint, error) {
+	cat, err := catalog.Uniform(cfg.Objects, 1)
+	if err != nil {
+		return fullSystemPoint{}, err
+	}
+	srv := server.New(cat, catalog.NewPeriodicAll(cat, cfg.UpdatePeriod))
+	st, err := basestation.New(basestation.Config{
+		Catalog:          cat,
+		Server:           srv,
+		Policy:           policy.OnDemandLowestRecency{},
+		BudgetPerTick:    budget,
+		CompulsoryMisses: true,
+		Metrics:          metricsBundle(),
+	})
+	if err != nil {
+		return fullSystemPoint{}, err
+	}
+	gen, err := client.NewGenerator(client.GeneratorConfig{
+		Catalog:     cat,
+		Pattern:     rng.Zipf,
+		RatePerTick: cfg.RatePerTick,
+		Seed:        cfg.Seed,
+	})
+	if err != nil {
+		return fullSystemPoint{}, err
+	}
+
+	link := fluidQueue{bandwidth: cfg.FixedBandwidth}
+	down := fluidQueue{bandwidth: cfg.DownlinkBandwidth}
+	var (
+		totals  basestation.Totals
+		out     []basestation.Outcome
+		waiting = make([]int, cat.Len()) // requests waiting on each of this tick's downloads
+		fetched []catalog.ID             // this tick's downloads, in first-request order
+		latSum  float64
+		horizon = float64(cfg.Ticks)
+	)
+	for tick := 0; tick < cfg.Ticks; tick++ {
+		now := float64(tick)
+		reqs := gen.Tick(tick)
+		out = slices.Grow(out[:0], len(reqs))[:len(reqs)]
+		res, err := st.ServeTickOutcomes(tick, reqs, srv.Tick(tick), out)
+		if err != nil {
+			return fullSystemPoint{}, err
+		}
+		totals.Add(res)
+		for i, o := range out {
+			id := reqs[i].Object
+			switch o.Source {
+			case basestation.SourceCache:
+				latSum += down.push(now, float64(cat.Size(id))) - now
+			case basestation.SourceDownload:
+				if waiting[id] == 0 {
+					fetched = append(fetched, id)
+				}
+				waiting[id]++
+			}
+		}
+		if res.DownloadUnits > 0 {
+			landed := link.push(now, float64(res.DownloadUnits)) + fixedLinkDelay
+			horizon = max(horizon, landed)
+			for _, id := range fetched {
+				latSum += float64(waiting[id]) * (down.push(landed, float64(cat.Size(id))) - now)
+				waiting[id] = 0
+			}
+		}
+		fetched = fetched[:0]
+	}
+	horizon = max(horizon, down.free)
+
+	p := fullSystemPoint{
+		score:    totals.MeanScore(),
+		linkUtil: link.busy / horizon,
+		downUtil: down.busy / horizon,
+	}
+	if totals.Requests > 0 {
+		p.latency = latSum / float64(totals.Requests)
+	}
+	return p, nil
 }

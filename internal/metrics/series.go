@@ -1,3 +1,7 @@
+// Package metrics provides the reporting primitives every experiment in
+// this repository prints through: time series grouped into figures, and
+// renderers for the rows and series the paper's tables and figures report
+// (ASCII tables, ASCII line plots, CSV).
 package metrics
 
 import (

@@ -5,10 +5,10 @@
 // reproducibility hinges on the generator: the package implements
 // splitmix64 (for seeding and stream splitting) and xoshiro256** (for the
 // main stream), plus the discrete and continuous distributions the paper's
-// workloads need (uniform, zipf, linearly skewed popularity, exponential),
-// an O(1) alias-method sampler for arbitrary discrete distributions, and
-// rank-correlation induction used to build the positively/negatively/un-
-// correlated parameter sets of Table 1.
+// workloads need (uniform, zipf, linearly skewed popularity, Poisson,
+// normal), an O(1) alias-method sampler for arbitrary discrete
+// distributions, and rank-correlation induction used to build the
+// positively/negatively/uncorrelated parameter sets of Table 1.
 //
 // The zero value of Source is not usable; construct one with New.
 package rng
@@ -135,20 +135,6 @@ func (r *Source) IntRange(lo, hi int) int {
 // FloatRange returns a uniform float64 in [lo, hi).
 func (r *Source) FloatRange(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate lambda
-// (mean 1/lambda). It panics if lambda <= 0.
-func (r *Source) ExpFloat64(lambda float64) float64 {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("rng: ExpFloat64 called with lambda = %g", lambda))
-	}
-	// Avoid log(0).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / lambda
 }
 
 // Poisson returns a Poisson-distributed count with the given mean, using

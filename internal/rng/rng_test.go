@@ -159,32 +159,6 @@ func TestFloatRange(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(19)
-	const lambda, n = 2.0, 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64(lambda)
-		if v < 0 {
-			t.Fatalf("ExpFloat64 returned negative %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1/lambda) > 0.02 {
-		t.Fatalf("exponential mean = %v, want ~%v", mean, 1/lambda)
-	}
-}
-
-func TestExpFloat64PanicsOnBadLambda(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ExpFloat64(0) did not panic")
-		}
-	}()
-	New(1).ExpFloat64(0)
-}
-
 func TestPoissonMean(t *testing.T) {
 	r := New(23)
 	for _, mean := range []float64{0.5, 3, 12, 80} {

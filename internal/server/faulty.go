@@ -31,9 +31,8 @@ type FaultyStats struct {
 // which consults the schedule and may refuse, fail, or slow the transfer.
 //
 // The schedule speaks of logical upstream servers; FaultyServer maps
-// object id to server id mod Servers (the same ownership rule as Farm),
-// so a per-server outage takes down the subset of the catalog that server
-// owns.
+// object id to server id mod Servers, so a per-server outage takes down
+// the subset of the catalog that server owns.
 type FaultyServer struct {
 	inner   *Server
 	sched   *fault.Schedule

@@ -1,17 +1,14 @@
 // Package server models the remote servers on the fixed network: the
 // authoritative versions of every object, the update processes that change
-// them, and (for the event-driven full-system simulation) per-server
-// service latency. The model is pull-based, exactly as in the paper:
-// servers never push data; they answer downloads initiated by the base
-// station.
+// them, and (behind FaultyServer) per-download fetch latency. The model is
+// pull-based, exactly as in the paper: servers never push data; they
+// answer downloads initiated by the base station.
 package server
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"mobicache/internal/catalog"
-	"mobicache/internal/rng"
 )
 
 // Server holds the master copies of all catalog objects and applies an
@@ -120,9 +117,8 @@ func (s *Server) TotalDownloads() uint64 { return s.downloads.Load() }
 // BytesOut returns the total data units served.
 func (s *Server) BytesOut() int64 { return s.bytesOut.Load() }
 
-// LatencyModel yields per-download service latency for the event-driven
-// simulation (queueing and transfer time are modeled by the network
-// package; this is the server-side processing component).
+// LatencyModel yields the fault-free latency of one download, the base
+// that FaultyServer's spike and slow-start factors multiply.
 type LatencyModel interface {
 	// ServiceTime returns the latency to serve one download of the given
 	// size.
@@ -135,21 +131,6 @@ type ConstantLatency float64
 // ServiceTime implements LatencyModel.
 func (c ConstantLatency) ServiceTime(int64) float64 { return float64(c) }
 
-// ExponentialLatency serves requests with exponentially distributed
-// latency of the given mean (a classic M/M/1-style service process).
-type ExponentialLatency struct {
-	Mean float64
-	Src  *rng.Source
-}
-
-// ServiceTime implements LatencyModel.
-func (e ExponentialLatency) ServiceTime(int64) float64 {
-	if e.Mean <= 0 {
-		return 0
-	}
-	return e.Src.ExpFloat64(1 / e.Mean)
-}
-
 // SizeProportionalLatency charges a fixed setup time plus time
 // proportional to the object size.
 type SizeProportionalLatency struct {
@@ -160,93 +141,4 @@ type SizeProportionalLatency struct {
 // ServiceTime implements LatencyModel.
 func (s SizeProportionalLatency) ServiceTime(size int64) float64 {
 	return s.Setup + s.PerUnit*float64(size)
-}
-
-// Farm is a set of servers that partition one catalog: object id is owned
-// by server id mod len(servers). The paper speaks of "remote servers"
-// collectively; the farm lets the full-system simulation give each server
-// its own latency profile. The farm applies one shared update schedule,
-// routing each update to the owning server.
-type Farm struct {
-	cat      *catalog.Catalog
-	servers  []*Server
-	latency  []LatencyModel
-	schedule catalog.UpdateSchedule
-}
-
-// NewFarm partitions the catalog across n servers driven by one update
-// schedule. latency may be nil for a zero-latency farm.
-func NewFarm(cat *catalog.Catalog, n int, schedule catalog.UpdateSchedule, latency []LatencyModel) (*Farm, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("server: farm size %d must be positive", n)
-	}
-	if latency != nil && len(latency) != n {
-		return nil, fmt.Errorf("server: %d latency models for %d servers", len(latency), n)
-	}
-	if schedule == nil {
-		schedule = catalog.Never{}
-	}
-	f := &Farm{cat: cat, latency: latency, schedule: schedule}
-	for i := 0; i < n; i++ {
-		// Individual servers apply updates only through the farm's Tick.
-		f.servers = append(f.servers, New(cat, nil))
-	}
-	return f, nil
-}
-
-// Tick applies the shared schedule for the given tick, routing each
-// update to the owning server, and returns the updated IDs.
-func (f *Farm) Tick(tick int) []catalog.ID {
-	for _, s := range f.servers {
-		s.ticked = true
-	}
-	updated := f.schedule.UpdatedAt(tick)
-	for _, id := range updated {
-		s := f.Owner(id)
-		s.versions[id]++
-		s.updates.Add(1)
-		for _, fn := range s.listeners {
-			fn(id)
-		}
-	}
-	return updated
-}
-
-// OnUpdate registers an update callback on every server in the farm.
-func (f *Farm) OnUpdate(fn func(catalog.ID)) {
-	for _, s := range f.servers {
-		s.OnUpdate(fn)
-	}
-}
-
-// Version returns the master version of an object (from its owner).
-func (f *Farm) Version(id catalog.ID) uint64 {
-	return f.Owner(id).Version(id)
-}
-
-// Download records a download at the owning server.
-func (f *Farm) Download(id catalog.ID) (version uint64, size int64) {
-	return f.Owner(id).Download(id)
-}
-
-// Owner returns the server owning an object.
-func (f *Farm) Owner(id catalog.ID) *Server {
-	return f.servers[int(id)%len(f.servers)]
-}
-
-// OwnerIndex returns the index of the server owning an object.
-func (f *Farm) OwnerIndex(id catalog.ID) int {
-	return int(id) % len(f.servers)
-}
-
-// Servers returns the farm's servers.
-func (f *Farm) Servers() []*Server { return f.servers }
-
-// ServiceTime returns the owning server's service latency for one
-// download, or 0 if the farm has no latency models.
-func (f *Farm) ServiceTime(id catalog.ID) float64 {
-	if f.latency == nil {
-		return 0
-	}
-	return f.latency[f.OwnerIndex(id)].ServiceTime(f.cat.Size(id))
 }

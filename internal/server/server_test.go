@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mobicache/internal/catalog"
-	"mobicache/internal/rng"
 )
 
 func unitCatalog(n int) *catalog.Catalog {
@@ -81,89 +80,6 @@ func TestLatencyModels(t *testing.T) {
 	if got := sp.ServiceTime(4); got != 3 {
 		t.Fatalf("SizeProportionalLatency = %v, want 3", got)
 	}
-	el := ExponentialLatency{Mean: 2, Src: rng.New(1)}
-	sum := 0.0
-	const n = 50000
-	for i := 0; i < n; i++ {
-		v := el.ServiceTime(1)
-		if v < 0 {
-			t.Fatalf("negative service time %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if mean < 1.9 || mean > 2.1 {
-		t.Fatalf("exponential latency mean = %v, want ~2", mean)
-	}
-	zero := ExponentialLatency{Mean: 0, Src: rng.New(1)}
-	if zero.ServiceTime(1) != 0 {
-		t.Fatal("zero-mean exponential latency nonzero")
-	}
-}
-
-func TestFarmValidation(t *testing.T) {
-	cat := unitCatalog(4)
-	if _, err := NewFarm(cat, 0, nil, nil); err == nil {
-		t.Fatal("farm of size 0 accepted")
-	}
-	if _, err := NewFarm(cat, 2, nil, []LatencyModel{ConstantLatency(1)}); err == nil {
-		t.Fatal("mismatched latency slice accepted")
-	}
-}
-
-func TestFarmRouting(t *testing.T) {
-	cat := unitCatalog(6)
-	f, err := NewFarm(cat, 3, catalog.NewPeriodicAll(cat, 1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.OwnerIndex(0) != 0 || f.OwnerIndex(4) != 1 || f.OwnerIndex(5) != 2 {
-		t.Fatalf("owner indexes wrong: %d %d %d", f.OwnerIndex(0), f.OwnerIndex(4), f.OwnerIndex(5))
-	}
-	updated := f.Tick(0)
-	if len(updated) != 6 {
-		t.Fatalf("farm tick updated %d, want 6", len(updated))
-	}
-	for _, id := range cat.IDs() {
-		if f.Version(id) != 1 {
-			t.Fatalf("farm version(%d) = %d", id, f.Version(id))
-		}
-	}
-	// Each of 3 servers owns 2 objects.
-	for i, s := range f.Servers() {
-		if s.TotalUpdates() != 2 {
-			t.Fatalf("server %d updates = %d, want 2", i, s.TotalUpdates())
-		}
-	}
-	v, size := f.Download(4)
-	if v != 1 || size != 1 {
-		t.Fatalf("farm Download = (%d,%d)", v, size)
-	}
-	if f.Servers()[1].TotalDownloads() != 1 {
-		t.Fatal("download not routed to owner")
-	}
-}
-
-func TestFarmOnUpdateAndServiceTime(t *testing.T) {
-	cat := unitCatalog(4)
-	f, err := NewFarm(cat, 2, catalog.NewPeriodicAll(cat, 1),
-		[]LatencyModel{ConstantLatency(1), ConstantLatency(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	f.OnUpdate(func(catalog.ID) { count++ })
-	f.Tick(0)
-	if count != 4 {
-		t.Fatalf("farm OnUpdate fired %d times, want 4", count)
-	}
-	if f.ServiceTime(0) != 1 || f.ServiceTime(1) != 2 {
-		t.Fatalf("service times = %v, %v", f.ServiceTime(0), f.ServiceTime(1))
-	}
-	noLat, _ := NewFarm(cat, 2, nil, nil)
-	if noLat.ServiceTime(0) != 0 {
-		t.Fatal("nil-latency farm returned nonzero service time")
-	}
 }
 
 func TestOnUpdateSealedAfterFirstTick(t *testing.T) {
@@ -177,21 +93,6 @@ func TestOnUpdateSealedAfterFirstTick(t *testing.T) {
 		}
 	}()
 	s.OnUpdate(func(catalog.ID) {})
-}
-
-func TestFarmOnUpdateSealedAfterFirstTick(t *testing.T) {
-	cat := unitCatalog(2)
-	f, err := NewFarm(cat, 2, catalog.NewPeriodicAll(cat, 1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Tick(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("farm OnUpdate after Tick accepted")
-		}
-	}()
-	f.OnUpdate(func(catalog.ID) {})
 }
 
 func TestDownloadConcurrentAccounting(t *testing.T) {

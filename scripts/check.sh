@@ -7,7 +7,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Statement-coverage floor across ./... — raise it as coverage grows,
-# never lower it to get a change through. Measured 83.1% when recorded.
+# never lower it to get a change through. Measured 80.4% when recorded.
 COVERAGE_BASELINE=80.0
 # Per-target budget for the fuzz smoke; set FUZZTIME=0 to skip.
 FUZZTIME=${FUZZTIME:-10s}

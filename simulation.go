@@ -44,11 +44,11 @@ type FaultSpike struct {
 
 // FaultConfig enables deterministic fault injection on the fixed-network
 // fetch path. The catalog is partitioned over Servers logical upstream
-// servers (object id mod Servers, as in server.Farm); outages, latency
-// spikes, per-request failures, and post-outage slow-start throttling are
-// all seeded and replayable. A failed download degrades gracefully: the
-// affected requests are served the stale cached copy, scored by the
-// recency curve instead of 1.0.
+// servers (object id mod Servers); outages, latency spikes, per-request
+// failures, and post-outage slow-start throttling are all seeded and
+// replayable. A failed download degrades gracefully: the affected
+// requests are served the stale cached copy, scored by the recency curve
+// instead of 1.0.
 type FaultConfig struct {
 	// Servers is the number of logical upstream servers (default 1).
 	Servers int
