@@ -29,6 +29,14 @@
 //	GET  /readyz                                    — readiness: ready/degraded (200), shedding/draining (503)
 //	GET  /metrics                                   — Prometheus text exposition
 //
+// A request's target recency must lie in (0, 1] on /v1/select,
+// /v1/recommend and /v1/request: the score functions never count a
+// target ≤ 0 or > 1 as met, so such a target is answered with 400 and
+// the offending request's index. The /v1/select, /v1/updates and
+// /v1/fetched bodies are decoded by a schema-specific fast path
+// (decode.go) that hands anything outside its strict JSON subset to
+// encoding/json, counted on stationd_decode_fallbacks_total.
+//
 // Start with:
 //
 //	stationd -addr :8080 -fetch-attempts 3 -fetch-backoff 0.5 -fetch-timeout 10 \

@@ -221,12 +221,12 @@ type serveResponse struct {
 // blocks until its window has been served.
 func (s *server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	var req serveRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	err := decode(r.Body, &req)
+	if err == nil {
+		err = checkTargets([]mobicache.Request{{Target: req.Target}})
 	}
-	if req.Target < 0 || req.Target > 1 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("target %v outside [0, 1]", req.Target))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	s.mu.RLock()
@@ -362,7 +362,7 @@ type configResponse struct {
 // it here would discard the live cache.
 func (s *server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	var req configRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -261,6 +261,7 @@ func TestRequestEndpointValidation(t *testing.T) {
 		{Object: -1, Target: 1},
 		{Object: 3, Target: 1},
 		{Object: 0, Target: -0.1},
+		{Object: 0, Target: 0},
 		{Object: 0, Target: 1.1},
 	} {
 		if w := postJSON(t, s, "/v1/request", bad); w.Code != http.StatusBadRequest {

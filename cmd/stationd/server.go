@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -82,6 +83,9 @@ type daemonMetrics struct {
 	staleFallbacks  *obs.Counter   // mirrors faultStats.StaleFallbacks
 	shedRequests    *obs.Counter   // requests refused by the in-flight cap
 	breakerState    *obs.Gauge     // 0 closed, 1 half-open, 2 open
+
+	// Bodies the fast decoder (decode.go) handed to encoding/json.
+	selectFallbacks, updatesFallbacks, fetchedFallbacks *obs.Counter
 }
 
 // faultStats accumulates what the fronting proxy reports via /v1/failed.
@@ -112,6 +116,10 @@ func newServer(retry mobicache.RetryConfig, simWorkers int) (*server, error) {
 		staleFallbacks:  s.reg.Counter("stationd_stale_fallbacks_total", "failed objects served from a stale cached copy"),
 		shedRequests:    s.reg.Counter("stationd_shed_requests_total", "requests refused by the in-flight cap"),
 		breakerState:    s.reg.Gauge("stationd_breaker_state", "upstream circuit breaker: 0 closed, 1 half-open, 2 open"),
+
+		selectFallbacks:  decodeFallbacks(s.reg, "select"),
+		updatesFallbacks: decodeFallbacks(s.reg, "updates"),
+		fetchedFallbacks: decodeFallbacks(s.reg, "fetched"),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/catalog", s.counted("catalog", s.handleCatalog))
@@ -155,6 +163,13 @@ func (s *server) counted(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// decodeFallbacks registers the endpoint's series in the shared family
+// stationd_decode_fallbacks_total.
+func decodeFallbacks(reg *obs.Registry, endpoint string) *obs.Counter {
+	return reg.Counter(fmt.Sprintf("stationd_decode_fallbacks_total{endpoint=%q}", endpoint),
+		"request bodies the fast decoder handed to encoding/json, by endpoint")
+}
+
 // countedExempt is counted without the shedding wrapper, for endpoints
 // that must keep answering at the in-flight cap.
 func (s *server) countedExempt(endpoint string, h http.HandlerFunc) http.HandlerFunc {
@@ -195,8 +210,8 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decode(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -207,7 +222,7 @@ type catalogRequest struct {
 
 func (s *server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 	var req catalogRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -266,8 +281,10 @@ func (s *server) validObjects(ids []mobicache.ObjectID) error {
 }
 
 func (s *server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	var req objectsRequest
-	if err := decode(r, &req); err != nil {
+	buf := reqBufs.Get().(*reqBuf)
+	defer reqBufs.Put(buf)
+	req, err := buf.decodeObjects(r.Body, s.met.updatesFallbacks)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -285,7 +302,7 @@ func (s *server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		s.recencies[id] = s.decay.Next(s.recencies[id])
 	}
 	// The window engine learns of the same master updates; they apply at
-	// its next window boundary.
+	// its next window boundary. NotifyUpdates copies the pooled slice.
 	if s.engine != nil {
 		s.engine.NotifyUpdates(req.Objects)
 	}
@@ -293,8 +310,10 @@ func (s *server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleFetched(w http.ResponseWriter, r *http.Request) {
-	var req objectsRequest
-	if err := decode(r, &req); err != nil {
+	buf := reqBufs.Get().(*reqBuf)
+	defer reqBufs.Put(buf)
+	req, err := buf.decodeObjects(r.Body, s.met.fetchedFallbacks)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -329,7 +348,7 @@ type failedRequest struct {
 // it. Recency of failed objects is left untouched.
 func (s *server) handleFailed(w http.ResponseWriter, r *http.Request) {
 	var req failedRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -409,9 +428,26 @@ type selectResponse struct {
 	AverageScore  float64              `json:"average_score"`
 }
 
+// checkTargets rejects any target outside (0, 1]: the score functions
+// never count a target ≤ 0 or > 1 as met, so such a request would spend
+// budget on a fresh copy it can never be satisfied without.
+func checkTargets(reqs []mobicache.Request) error {
+	for i, r := range reqs {
+		if !(r.Target > 0 && r.Target <= 1) {
+			return fmt.Errorf("request %d: target %v outside (0, 1]", i, r.Target)
+		}
+	}
+	return nil
+}
+
 func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	var req selectRequest
-	if err := decode(r, &req); err != nil {
+	buf := reqBufs.Get().(*reqBuf)
+	defer reqBufs.Put(buf)
+	req, err := buf.decodeSelect(r.Body, s.met.selectFallbacks)
+	if err == nil {
+		err = checkTargets(req.Requests)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -471,7 +507,11 @@ type recommendResponse struct {
 
 func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req recommendRequest
-	if err := decode(r, &req); err != nil {
+	err := decode(r.Body, &req)
+	if err == nil {
+		err = checkTargets(req.Requests)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -630,7 +670,7 @@ type multicellSimResponse struct {
 // alongside the accumulated aggregate.
 func (s *server) handleSimMulticell(w http.ResponseWriter, r *http.Request) {
 	var req multicellSimRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(r.Body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

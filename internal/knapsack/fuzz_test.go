@@ -10,9 +10,10 @@ import (
 // FuzzSolveDP feeds arbitrary byte-encoded instances to the exact solver
 // and asserts structural invariants: no panic, any accepted solution
 // respects the capacity, its reported profit/weight match its Take set,
-// and the greedy heuristic never beats it. Item weights/profits are
-// decoded from 9-byte records (uint8 weight, float64 profit) so the
-// fuzzer can mutate instances field by field.
+// it equals the unpruned reference DP bit for bit, and the greedy
+// heuristic never beats it. Item weights/profits are decoded from 9-byte
+// records (uint8 weight, float64 profit) so the fuzzer can mutate
+// instances field by field.
 func FuzzSolveDP(f *testing.F) {
 	seed := func(capacity int64, pairs ...any) []byte {
 		buf := binary.AppendVarint(nil, capacity)
@@ -42,8 +43,16 @@ func FuzzSolveDP(f *testing.F) {
 			data = data[9:]
 		}
 		sol, err := SolveDP(items, capacity)
+		ref, refErr := referenceDP(items, capacity)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("SolveDP error %v, reference error %v", err, refErr)
+		}
 		if err != nil {
 			return // invalid instance rejected cleanly, nothing to check
+		}
+		if !sameBits(sol, ref) {
+			t.Fatalf("pruned DP (%v, %d, %v) != reference (%v, %d, %v)",
+				sol.Profit, sol.Weight, sol.Take, ref.Profit, ref.Weight, ref.Take)
 		}
 		if capacity >= 0 && sol.Weight > capacity {
 			t.Fatalf("solution weight %d exceeds capacity %d", sol.Weight, capacity)

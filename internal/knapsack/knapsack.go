@@ -64,6 +64,7 @@ var ErrNegativeCapacity = errors.New("knapsack: negative capacity")
 type Solver struct {
 	value     []float64 // DP best-value row (SolveDP)
 	decisions []uint64  // flat n x words decision bitsets (SolveDP)
+	rowHi     []int     // per-row upper capacity end (SolveDP)
 	traceVal  []float64 // DP value row for TraceDP, kept separate so a
 	// trace stays valid while the same workspace keeps solving
 	trace  Trace
@@ -130,6 +131,15 @@ func growWords(buf []uint64, n int) []uint64 {
 // instances (the paper's Section 3 workloads) take an O(n log n)
 // top-k-by-profit fast path instead. See the Solver doc for the lifetime
 // of the returned Take slice.
+//
+// Row i is filled only over the capacities reconstruction can read,
+// [max(wᵢ, c − Σ_{j>i} wⱼ), min(c, Σ_{j≤i} wⱼ)]: the walk back from c
+// never drops below c minus the weight of the items after i, and above
+// the prefix weight the row is flat because every item so far fits (its
+// decision bit there equals the one at the upper end). Weights enter the
+// sums clamped to c+1 so they cannot overflow; items heavier than c stay
+// skipped. The cells computed are exactly the unpruned DP's, so Take,
+// Profit and Weight are bit-identical to it.
 func (s *Solver) SolveDP(items []Item, capacity int64) (Solution, error) {
 	if capacity < 0 {
 		return Solution{}, ErrNegativeCapacity
@@ -147,17 +157,36 @@ func (s *Solver) SolveDP(items []Item, capacity int64) (Solution, error) {
 	// One bitset row of decisions per item, in one flat allocation.
 	words := (c + 1 + 63) / 64
 	s.decisions = growWords(s.decisions, n*words)
+	if cap(s.rowHi) < n {
+		s.rowHi = make([]int, n)
+	}
+	rowHi := s.rowHi[:n]
+	clamped := func(it Item) int { return int(min(it.Weight, int64(c)+1)) }
+	suffix := 0 // Σ_{j>i} wⱼ, clamped weights
+	for _, it := range items {
+		suffix += clamped(it)
+	}
 
+	hi := 0 // the previous row's upper end, where its exact entries stop
 	for i, it := range items {
+		w := clamped(it)
+		suffix -= w
+		newHi := min(c, hi+w)
+		for cap := hi + 1; cap <= newHi; cap++ {
+			value[cap] = value[hi]
+		}
+		hi = newHi
+		rowHi[i] = hi
+		if w > c {
+			continue
+		}
 		row := s.decisions[i*words : (i+1)*words]
-		w := int(it.Weight)
-		if w <= c {
-			for cap := c; cap >= w; cap-- {
-				cand := value[cap-w] + it.Profit
-				if cand > value[cap] {
-					value[cap] = cand
-					row[cap/64] |= 1 << (cap % 64)
-				}
+		lo := max(w, c-suffix)
+		for cap := hi; cap >= lo; cap-- {
+			cand := value[cap-w] + it.Profit
+			if cand > value[cap] {
+				value[cap] = cand
+				row[cap/64] |= 1 << (cap % 64)
 			}
 		}
 	}
@@ -165,7 +194,7 @@ func (s *Solver) SolveDP(items []Item, capacity int64) (Solution, error) {
 	sol := Solution{Profit: value[c], Take: s.take[:0]}
 	remaining := c
 	for i := n - 1; i >= 0; i-- {
-		if s.decisions[i*words+remaining/64]&(1<<(remaining%64)) != 0 {
+		if at := min(remaining, rowHi[i]); s.decisions[i*words+at/64]&(1<<(at%64)) != 0 {
 			sol.Take = append(sol.Take, i)
 			sol.Weight += items[i].Weight
 			remaining -= int(items[i].Weight)

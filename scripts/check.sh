@@ -54,8 +54,10 @@ fi
 
 # Solver-equivalence gate: the incremental warm-start solver must return
 # bit-identical solutions to the cold DP across randomized edit sequences
-# (knapsack layer) and identical plans through the selector (core layer).
-go test -race -count=1 -run Incremental ./internal/knapsack ./internal/core
+# (knapsack layer) and identical plans through the selector (core layer),
+# and the cold DP's pruned rows must reproduce the unpruned reference DP
+# bit for bit.
+go test -race -count=1 -run 'Incremental|PrunedDP' ./internal/knapsack ./internal/core
 
 # The benchmark driver (bench/) is its own module importing the facade,
 # internal/runner and internal/experiment; its unit tests open no ports
@@ -69,6 +71,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run=NONE -fuzz=FuzzRecencyCurve -fuzztime="$FUZZTIME" ./internal/recency
     go test -run=NONE -fuzz=FuzzBreaker -fuzztime="$FUZZTIME" ./internal/resilience
     go test -run=NONE -fuzz=FuzzNextOccurrence -fuzztime="$FUZZTIME" ./internal/broadcast
+    go test -run=NONE -fuzz=FuzzDecodeSelect -fuzztime="$FUZZTIME" ./cmd/stationd
 fi
 
 # Experiment-runner smoke: a tiny 2x2 sweep (two solvers x two cell
