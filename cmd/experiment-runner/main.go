@@ -35,7 +35,7 @@ var (
 
 	// Sweep matrix dimensions, comma-separated; empty keeps the default
 	// matrix's dimension.
-	solvers   = flag.String("solvers", "", "solver dimension (dp,greedy,fptas,incremental,certified)")
+	solvers   = flag.String("solvers", "", "solver dimension (dp,greedy,incremental,certified)")
 	accesses  = flag.String("accesses", "", "access-skew dimension (uniform,linear,zipf)")
 	budgets   = flag.String("budgets", "", "per-tick budget dimension, data units (0 = unlimited)")
 	cells     = flag.String("cells", "", "cell-count dimension (1 = single-cell simulation)")
@@ -48,7 +48,6 @@ var (
 	reqProb   = flag.Float64("reqprob", 0, "multi-cell per-client request probability (0 = default 0.3)")
 	warmup    = flag.Int("warmup", 0, "single-cell warmup ticks (0 = default 40)")
 	ticks     = flag.Int("ticks", 0, "measured horizon (0 = default 240)")
-	workers   = flag.Int("workers", 0, "multicell parallel-phase workers (0 = auto; results identical)")
 	seed      = flag.Uint64("seed", 0, "sweep seed, part of every run id (0 = default 1)")
 	sample    = flag.Int("sample-every", 0, "ticks.csv sampling stride (0 = default 10)")
 	outDir    = flag.String("out", "results/runs", "sweep archive directory")
@@ -163,7 +162,6 @@ func sweep() error {
 			RequestProb:     *reqProb,
 			Warmup:          *warmup,
 			Ticks:           *ticks,
-			Workers:         *workers,
 			Seed:            *seed,
 			SampleEvery:     *sample,
 		},

@@ -33,8 +33,7 @@ var (
 	quickFlag  = flag.Bool("quick", false, "run scaled-down configurations (for smoke tests)")
 	plotWidth  = flag.Int("plot-width", 72, "ASCII plot width")
 	plotHeight = flag.Int("plot-height", 20, "ASCII plot height")
-	workers    = flag.Int("workers", 0, "worker goroutines for the multicell study's parallel tick phase (0 = auto, 1 = serial; results are identical either way)")
-	solverFlag = flag.String("solver", "dp", "knapsack solver behind the knapsack-backed studies (adaptive, heterogeneity, faults): dp, greedy, fptas, incremental, certified")
+	solverFlag = flag.String("solver", "dp", "knapsack solver behind the knapsack-backed studies (adaptive, heterogeneity, faults): dp, greedy, incremental, certified")
 	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	metricsOut = flag.String("metrics-out", "", "write a JSON snapshot of the run's station metrics to this file")
@@ -434,7 +433,7 @@ func multicellStudy() error {
 	if *seed != 0 {
 		s = *seed
 	}
-	out, err := experiment.MulticellStudy(4, s, *workers)
+	out, err := experiment.MulticellStudy(4, s)
 	if err != nil {
 		return err
 	}
@@ -447,7 +446,7 @@ func resilienceStudy() error {
 	if *seed != 0 {
 		s = *seed
 	}
-	out, err := experiment.ResilienceStudy(4, s, *workers)
+	out, err := experiment.ResilienceStudy(4, s)
 	if err != nil {
 		return err
 	}

@@ -17,10 +17,7 @@ import (
 // the HTTP harness for requests.
 func newResilientServer(t *testing.T, maxInflight int64, breakerFailures int) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServer(mobicache.RetryConfig{MaxAttempts: 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newServer()
 	srv.setMaxInflight(maxInflight)
 	if breakerFailures > 0 {
 		if err := srv.armBreaker(breakerFailures, 4); err != nil {

@@ -11,9 +11,6 @@
 //	POST /v1/select     {"requests":[...],"budget":5}
 //	POST /v1/recommend  {"requests":[...],"max_budget":50,"fraction_of_max":0.9}
 //	POST /v1/failed     {"objects":[1],"retries":2}  — downloads lost to faults
-//	POST /v1/sim/multicell {"cells":4,"objects":200,"clients":240,"ticks":400,...}
-//	                    — run a multi-cell simulation on the parallel tick
-//	                      engine; per-cell series appear on /metrics
 //	POST /v1/config     {"solver":"greedy"}         — swap the knapsack solver at
 //	                      runtime (selector and clone pool rebuild atomically)
 //	POST /v1/request    {"client":0,"object":7,"target":0.8}
@@ -23,7 +20,7 @@
 //	                      station's cached copy of N (200) or 404; shed-exempt
 //	GET  /v1/serve/status                           — window/peer counters + config
 //	GET  /v1/state                                  — current recency vector
-//	GET  /v1/status                                 — fault counters + retry policy + breaker state
+//	GET  /v1/status                                 — catalog size, solver, fault counters, breaker state
 //	GET  /v1/trace?n=K                              — last K selection decisions
 //	GET  /healthz                                   — liveness (always 200 while serving)
 //	GET  /readyz                                    — readiness: ready/degraded (200), shedding/draining (503)
@@ -39,14 +36,13 @@
 //
 // Start with:
 //
-//	stationd -addr :8080 -fetch-attempts 3 -fetch-backoff 0.5 -fetch-timeout 10 \
-//	         -max-inflight 64 -breaker-failures 5
+//	stationd -addr :8080 -max-inflight 64 -breaker-failures 5
 //
 // Pass -pprof to additionally expose net/http/pprof under /debug/pprof/.
 //
-// The fetch flags describe the retry policy the fronting proxy should
-// apply to upstream fetches; the daemon reports the policy on /v1/status
-// so operators can confirm what a station is configured to do.
+// Retrying upstream fetches is the fronting proxy's job: it reports each
+// download it lost after its own retries on /v1/failed, and /v1/status
+// sums what it reported.
 //
 // Resilience: -max-inflight caps concurrently served requests (excess
 // gets 503 instead of queueing; probes and /metrics are exempt), and
@@ -86,23 +82,16 @@ import (
 	"strings"
 	"syscall"
 	"time"
-
-	"mobicache"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	attempts := flag.Int("fetch-attempts", 1, "fetch attempts per download (1 = no retry)")
-	backoff := flag.Float64("fetch-backoff", 0, "backoff before the second fetch attempt, doubling per retry")
-	maxBackoff := flag.Float64("fetch-max-backoff", 0, "cap on the exponential fetch backoff (0 = uncapped)")
-	timeout := flag.Float64("fetch-timeout", 0, "total fetch budget per download across attempts (0 = none)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	workers := flag.Int("workers", 0, "default worker goroutines for /v1/sim/multicell's parallel tick phase (0 = auto, 1 = serial; results are identical)")
 	maxInflight := flag.Int64("max-inflight", 0, "concurrent request cap; excess requests get 503 instead of queueing (0 = unlimited)")
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failed downloads (via /v1/failed) that open the upstream circuit breaker (0 = no breaker)")
 	breakerOpen := flag.Int("breaker-open-events", 0, "reported fetch outcomes an open breaker waits before probing (0 = default 8)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight requests")
-	solver := flag.String("solver", "dp", "knapsack solver: dp, greedy, fptas, incremental, or certified (also settable at runtime via POST /v1/config)")
+	solver := flag.String("solver", "dp", "knapsack solver: dp, greedy, incremental, or certified (also settable at runtime via POST /v1/config)")
 	serveOn := flag.Bool("serve", false, "enable the event-driven serving tier (POST /v1/request)")
 	serveMaxBatch := flag.Int("serve-max-batch", 32, "requests that close a selection window")
 	serveMaxWait := flag.Duration("serve-max-wait", 5*time.Millisecond, "max wait before a non-full window closes")
@@ -114,23 +103,17 @@ func main() {
 	peerBreakerFailures := flag.Int("peer-breaker-failures", 0, "consecutive failed peer fetches that open that peer's circuit breaker (0 = default 5)")
 	peerBreakerOpen := flag.Int("peer-breaker-open-events", 0, "fetch attempts an open peer breaker refuses before probing (0 = default)")
 	flag.Parse()
-	retry := mobicache.RetryConfig{
-		MaxAttempts: *attempts,
-		BaseBackoff: *backoff,
-		MaxBackoff:  *maxBackoff,
-		Timeout:     *timeout,
-	}
-	srv, err := newServer(retry, *workers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stationd:", err)
-		os.Exit(2)
-	}
+	srv := newServer()
 	if *pprofOn {
 		srv.enablePprof()
 		log.Printf("stationd: pprof enabled on /debug/pprof/")
 	}
 	if *maxInflight < 0 {
 		fmt.Fprintln(os.Stderr, "stationd: negative -max-inflight")
+		os.Exit(2)
+	}
+	if *breakerFailures < 0 || *breakerOpen < 0 {
+		fmt.Fprintln(os.Stderr, "stationd: negative -breaker-failures or -breaker-open-events")
 		os.Exit(2)
 	}
 	srv.setMaxInflight(*maxInflight)
@@ -172,8 +155,7 @@ func main() {
 		}
 		log.Printf("stationd: circuit breaker armed (threshold %d)", *breakerFailures)
 	}
-	log.Printf("stationd: listening on %s (fetch attempts %d, backoff %g, timeout %g)",
-		*addr, retry.MaxAttempts, retry.BaseBackoff, retry.Timeout)
+	log.Printf("stationd: listening on %s", *addr)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

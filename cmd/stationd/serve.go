@@ -71,6 +71,12 @@ func (s *server) enableServing(opts serveOptions) error {
 	if opts.MaxWait < 0 || opts.Queue < 0 || opts.Budget < 0 || opts.UpdatePeriod < 0 {
 		return fmt.Errorf("negative serve option")
 	}
+	// Checked here, not first by serve.NewPeers at the next catalog
+	// install: a daemon that started would otherwise report ready and
+	// then refuse every catalog.
+	if opts.PeerBreakerFailures < 0 || opts.PeerBreakerOpenEvents < 0 {
+		return fmt.Errorf("negative peer breaker option")
+	}
 	if len(opts.Peers) > 1 {
 		found := false
 		for _, p := range opts.Peers {

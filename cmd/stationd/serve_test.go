@@ -16,11 +16,7 @@ import (
 
 func newTestDaemon(t *testing.T) *server {
 	t.Helper()
-	s, err := newServer(mobicache.RetryConfig{MaxAttempts: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newServer()
 }
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
@@ -104,13 +100,13 @@ func TestConfigSwapRebuildsPool(t *testing.T) {
 
 func TestConfigRejectsBadSolver(t *testing.T) {
 	s := newTestDaemon(t)
-	for _, body := range []map[string]string{{"solver": "quantum"}, {"solver": ""}, {}} {
+	for _, body := range []map[string]string{{"solver": "quantum"}, {"solver": "fptas"}, {"solver": ""}, {}} {
 		if w := postJSON(t, s, "/v1/config", body); w.Code != http.StatusBadRequest {
 			t.Fatalf("solver %+v accepted: %d %s", body, w.Code, w.Body)
 		}
 	}
 	// Without a catalog the name is recorded but nothing is rebuilt.
-	w := postJSON(t, s, "/v1/config", map[string]string{"solver": "fptas"})
+	w := postJSON(t, s, "/v1/config", map[string]string{"solver": "greedy"})
 	if w.Code != http.StatusOK {
 		t.Fatalf("pre-catalog config: %d %s", w.Code, w.Body)
 	}
@@ -123,8 +119,8 @@ func TestConfigRejectsBadSolver(t *testing.T) {
 	}
 	// The next catalog install builds with the configured solver.
 	postJSON(t, s, "/v1/catalog", map[string]any{"sizes": []int64{1, 2}})
-	if got := s.selector.Solver(); got != "fptas" {
-		t.Fatalf("post-install solver %q, want fptas", got)
+	if got := s.selector.Solver(); got != "greedy" {
+		t.Fatalf("post-install solver %q, want greedy", got)
 	}
 }
 
@@ -424,6 +420,8 @@ func TestEnableServingValidates(t *testing.T) {
 		{MaxBatch: 1, Budget: -5},
 		{MaxBatch: 1, UpdatePeriod: -1},
 		{MaxBatch: 1, Self: "http://c", Peers: []string{"http://a", "http://b"}},
+		{Self: "http://a", Peers: []string{"http://a", "http://b"}, PeerBreakerFailures: -1},
+		{Self: "http://a", Peers: []string{"http://a", "http://b"}, PeerBreakerOpenEvents: -1},
 	}
 	for i, opts := range cases {
 		s := newTestDaemon(t)
@@ -458,7 +456,9 @@ func TestSetSolver(t *testing.T) {
 	if s.solverName != "greedy" {
 		t.Fatalf("empty name overwrote solverName to %q", s.solverName)
 	}
-	if err := s.setSolver("nonsense"); err == nil {
-		t.Fatal("bad solver name accepted")
+	for _, bad := range []string{"nonsense", "fptas"} {
+		if err := s.setSolver(bad); err == nil {
+			t.Fatalf("solver name %q accepted", bad)
+		}
 	}
 }

@@ -34,7 +34,6 @@ type server struct {
 	sizes      []int64 // installed catalog sizes, retained for solver rebuilds
 	solverName string  // current solver for selector (re)builds; see /v1/config
 	decay      recency.Decay
-	retry      mobicache.RetryConfig
 	faults     faultStats
 	mux        *http.ServeMux
 
@@ -52,15 +51,6 @@ type server struct {
 	met       daemonMetrics
 	trace     *obs.TraceRing
 	selectSeq atomic.Uint64 // stamps trace records with a selection number
-
-	// Multi-cell simulation endpoint state. simMu serializes runs: the
-	// per-cell metric shards delta-merge into the shared aggregate, which
-	// tolerates only one engine at a time. simMetrics is registered
-	// lazily on the first simulation so a daemon that never simulates
-	// exposes no mobicache_* series.
-	simMu      sync.Mutex
-	simWorkers int
-	simMetrics *mobicache.MulticellMetrics
 
 	// Resilience state (see health.go). The breaker runs on an event
 	// clock advanced by reported fetch outcomes; it has a dedicated
@@ -95,17 +85,8 @@ type faultStats struct {
 	StaleFallbacks  uint64 `json:"stale_fallbacks"`
 }
 
-func newServer(retry mobicache.RetryConfig, simWorkers int) (*server, error) {
-	if retry.MaxAttempts < 1 {
-		return nil, fmt.Errorf("fetch attempts %d, need at least 1", retry.MaxAttempts)
-	}
-	if retry.BaseBackoff < 0 || retry.MaxBackoff < 0 || retry.Timeout < 0 {
-		return nil, fmt.Errorf("negative fetch backoff or timeout")
-	}
-	if simWorkers < 0 {
-		return nil, fmt.Errorf("negative simulation worker count %d", simWorkers)
-	}
-	s := &server{decay: recency.DefaultDecay, retry: retry, simWorkers: simWorkers, solverName: "dp"}
+func newServer() *server {
+	s := &server{decay: recency.DefaultDecay, solverName: "dp"}
 	s.reg = obs.NewRegistry()
 	s.trace = obs.NewTraceRing(0)
 	s.met = daemonMetrics{
@@ -127,7 +108,6 @@ func newServer(retry mobicache.RetryConfig, simWorkers int) (*server, error) {
 	mux.HandleFunc("POST /v1/fetched", s.counted("fetched", s.handleFetched))
 	mux.HandleFunc("POST /v1/failed", s.counted("failed", s.handleFailed))
 	mux.HandleFunc("POST /v1/select", s.counted("select", s.handleSelect))
-	mux.HandleFunc("POST /v1/sim/multicell", s.counted("sim_multicell", s.handleSimMulticell))
 	mux.HandleFunc("POST /v1/recommend", s.counted("recommend", s.handleRecommend))
 	mux.HandleFunc("GET /v1/state", s.counted("state", s.handleState))
 	mux.HandleFunc("GET /v1/status", s.counted("status", s.handleStatus))
@@ -147,7 +127,7 @@ func newServer(retry mobicache.RetryConfig, simWorkers int) (*server, error) {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
-	return s, nil
+	return s
 }
 
 // counted wraps a handler with a per-endpoint request counter, rendered
@@ -381,23 +361,15 @@ func (s *server) handleFailed(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type retryPolicy struct {
-	MaxAttempts int     `json:"max_attempts"`
-	BaseBackoff float64 `json:"base_backoff"`
-	MaxBackoff  float64 `json:"max_backoff"`
-	Timeout     float64 `json:"timeout"`
-}
-
 type statusResponse struct {
-	Objects int         `json:"objects"`
-	Solver  string      `json:"solver"`
-	Retry   retryPolicy `json:"retry"`
-	Faults  faultStats  `json:"faults"`
-	Breaker string      `json:"breaker,omitempty"` // "" when disabled
+	Objects int        `json:"objects"`
+	Solver  string     `json:"solver"`
+	Faults  faultStats `json:"faults"`
+	Breaker string     `json:"breaker,omitempty"` // "" when disabled
 }
 
-// handleStatus reports the fault counters and the configured retry
-// policy. Unlike the other endpoints it works before a catalog is
+// handleStatus reports the catalog size, the solver and the fault
+// counters. Unlike the other endpoints it works before a catalog is
 // installed, so it can double as a liveness probe.
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
@@ -405,12 +377,6 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statusResponse{
 		Objects: len(s.recencies),
 		Solver:  s.solverName,
-		Retry: retryPolicy{
-			MaxAttempts: s.retry.MaxAttempts,
-			BaseBackoff: s.retry.BaseBackoff,
-			MaxBackoff:  s.retry.MaxBackoff,
-			Timeout:     s.retry.Timeout,
-		},
 		Faults:  s.faults,
 		Breaker: s.breakerState(),
 	})
@@ -606,142 +572,4 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		decisions = []mobicache.Decision{}
 	}
 	writeJSON(w, http.StatusOK, traceResponse{Total: s.trace.Total(), Decisions: decisions})
-}
-
-// multicellSimRequest parameterizes one multi-cell simulation. Zero
-// mobility fields take the library defaults; workers 0 falls back to the
-// daemon's -workers flag (and from there to auto).
-type multicellSimRequest struct {
-	Cells         int     `json:"cells"`
-	Objects       int     `json:"objects"`
-	UpdatePeriod  int     `json:"update_period"`
-	BudgetPerTick int64   `json:"budget_per_tick"`
-	Clients       int     `json:"clients"`
-	MeanResidence float64 `json:"mean_residence"`
-	PDisconnect   float64 `json:"p_disconnect"`
-	MeanAbsence   float64 `json:"mean_absence"`
-	RequestProb   float64 `json:"request_prob"`
-	Access        string  `json:"access"`
-	CacheSharing  bool    `json:"cache_sharing"`
-	Workers       int     `json:"workers"`
-	Ticks         int     `json:"ticks"`
-	Seed          uint64  `json:"seed"`
-
-	// Dissemination strategy; empty or "on-demand" keeps the pull
-	// stations. The knobs mirror DisseminationConfig (zero = defaults).
-	Strategy       string  `json:"strategy"`
-	ReportInterval int     `json:"report_interval"`
-	ReportWindow   int     `json:"report_window"`
-	SlotsPerTick   int     `json:"slots_per_tick"`
-	PullEvery      int     `json:"pull_every"`
-	PushThreshold  int     `json:"push_threshold"`
-	SleepProb      float64 `json:"sleep_prob"`
-}
-
-type multicellSimResponse struct {
-	Ticks              int       `json:"ticks"`
-	Requests           uint64    `json:"requests"`
-	Downloads          uint64    `json:"downloads"`
-	SharedCopies       uint64    `json:"shared_copies"`
-	SharedCopyFailures uint64    `json:"shared_copy_failures"`
-	MeanScore          float64   `json:"mean_score"`
-	MeanRecency        float64   `json:"mean_recency"`
-	Handoffs           uint64    `json:"handoffs"`
-	Drops              uint64    `json:"drops"`
-	PerCellScores      []float64 `json:"per_cell_scores"`
-	PerCellRequests    []uint64  `json:"per_cell_requests"`
-	PerCellDownloads   []uint64  `json:"per_cell_downloads"`
-	Workers            int       `json:"workers"`
-
-	// Dissemination accounting (omitted on the default on-demand path).
-	Strategy            string `json:"strategy,omitempty"`
-	InvalidationReports uint64 `json:"invalidation_reports,omitempty"`
-	InvalidatedEntries  uint64 `json:"invalidated_entries,omitempty"`
-	TerminalPurges      uint64 `json:"terminal_purges,omitempty"`
-	PushServed          uint64 `json:"push_served,omitempty"`
-	PullServed          uint64 `json:"pull_served,omitempty"`
-	PushUnits           uint64 `json:"push_units,omitempty"`
-}
-
-// handleSimMulticell runs a multi-cell simulation on the parallel tick
-// engine and returns its report. Runs are serialized (simMu): every run
-// feeds the same per-cell metric shards on the daemon registry, so
-// GET /metrics exposes one mobicache_* series per cell ({cell="N"})
-// alongside the accumulated aggregate.
-func (s *server) handleSimMulticell(w http.ResponseWriter, r *http.Request) {
-	var req multicellSimRequest
-	if err := decode(r.Body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Ticks <= 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("ticks %d must be positive", req.Ticks))
-		return
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.simWorkers
-	}
-	s.simMu.Lock()
-	defer s.simMu.Unlock()
-	if s.simMetrics == nil {
-		s.simMetrics = mobicache.NewMulticellMetrics(s.reg, 0)
-	}
-	var dis *mobicache.DisseminationConfig
-	if req.Strategy != "" && req.Strategy != "on-demand" {
-		dis = &mobicache.DisseminationConfig{
-			Strategy:     req.Strategy,
-			Interval:     req.ReportInterval,
-			Window:       req.ReportWindow,
-			SlotsPerTick: req.SlotsPerTick,
-			PullEvery:    req.PullEvery,
-			Threshold:    req.PushThreshold,
-			SleepProb:    req.SleepProb,
-		}
-	}
-	rep, err := mobicache.RunMulticell(mobicache.MulticellConfig{
-		Cells:         req.Cells,
-		Objects:       req.Objects,
-		UpdatePeriod:  req.UpdatePeriod,
-		BudgetPerTick: req.BudgetPerTick,
-		Clients:       req.Clients,
-		MeanResidence: req.MeanResidence,
-		PDisconnect:   req.PDisconnect,
-		MeanAbsence:   req.MeanAbsence,
-		RequestProb:   req.RequestProb,
-		Access:        req.Access,
-		CacheSharing:  req.CacheSharing,
-		Workers:       workers,
-		Ticks:         req.Ticks,
-		Seed:          req.Seed,
-		Metrics:       s.simMetrics,
-		Dissemination: dis,
-	})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, multicellSimResponse{
-		Ticks:              rep.Ticks,
-		Requests:           rep.Requests,
-		Downloads:          rep.Downloads,
-		SharedCopies:       rep.SharedCopies,
-		SharedCopyFailures: rep.SharedCopyFailures,
-		MeanScore:          rep.MeanScore,
-		MeanRecency:        rep.MeanRecency,
-		Handoffs:           rep.Handoffs,
-		Drops:              rep.Drops,
-		PerCellScores:      rep.PerCellScores,
-		PerCellRequests:    rep.PerCellRequests,
-		PerCellDownloads:   rep.PerCellDownloads,
-		Workers:            workers,
-
-		Strategy:            rep.Dissemination,
-		InvalidationReports: rep.InvalidationReports,
-		InvalidatedEntries:  rep.InvalidatedEntries,
-		TerminalPurges:      rep.TerminalPurges,
-		PushServed:          rep.PushServed,
-		PullServed:          rep.PullServed,
-		PushUnits:           rep.PushUnits,
-	})
 }

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"mobicache"
 )
 
 func post(t *testing.T, ts *httptest.Server, path string, body any) (*http.Response, []byte) {
@@ -37,25 +35,9 @@ func mustStatus(t *testing.T, resp *http.Response, want int, body []byte) {
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := newServer(mobicache.RetryConfig{MaxAttempts: 3, BaseBackoff: 0.5, MaxBackoff: 2, Timeout: 10}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(newServer())
 	t.Cleanup(ts.Close)
 	return ts
-}
-
-func TestNewServerRejectsBadRetryConfig(t *testing.T) {
-	for _, retry := range []mobicache.RetryConfig{
-		{MaxAttempts: 0},
-		{MaxAttempts: 2, BaseBackoff: -1},
-		{MaxAttempts: 2, Timeout: -0.1},
-	} {
-		if _, err := newServer(retry, 0); err == nil {
-			t.Errorf("retry %+v accepted", retry)
-		}
-	}
 }
 
 func TestEndpointsRequireCatalog(t *testing.T) {
@@ -224,7 +206,7 @@ func TestStateReflectsMutations(t *testing.T) {
 func TestFailedAndStatus(t *testing.T) {
 	ts := newTestServer(t)
 
-	// Status works before a catalog and reports the retry policy.
+	// Status works before a catalog.
 	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
@@ -234,12 +216,8 @@ func TestFailedAndStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Objects != 0 {
-		t.Fatalf("objects = %d before catalog", st.Objects)
-	}
-	want := retryPolicy{MaxAttempts: 3, BaseBackoff: 0.5, MaxBackoff: 2, Timeout: 10}
-	if st.Retry != want {
-		t.Fatalf("retry policy = %+v, want %+v", st.Retry, want)
+	if st.Objects != 0 || st.Solver != "dp" || st.Faults != (faultStats{}) {
+		t.Fatalf("status before catalog = %+v", st)
 	}
 
 	post(t, ts, "/v1/catalog", map[string]any{"sizes": []int64{1, 1, 1}})

@@ -1,6 +1,9 @@
 package mobicache
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestRunSimulationDisseminationStrategies runs every dissemination
 // strategy through the facade: each must complete, answer every request,
@@ -109,11 +112,10 @@ func TestDisseminationConflictsRejected(t *testing.T) {
 	}
 }
 
-// TestMulticellDisseminationWorkersInvariant runs a push-ts multi-cell
-// deployment with cell outages serially and in parallel: the reports
-// must be identical for any worker count and carry the per-strategy
-// counters aggregated across cells.
-func TestMulticellDisseminationWorkersInvariant(t *testing.T) {
+// TestMulticellDisseminationDeterministic runs a push-ts multi-cell
+// deployment with a cell outage twice: the reports must be identical and
+// carry the per-strategy counters aggregated across cells.
+func TestMulticellDisseminationDeterministic(t *testing.T) {
 	base := MulticellConfig{
 		Cells:         4,
 		Objects:       60,
@@ -127,32 +129,25 @@ func TestMulticellDisseminationWorkersInvariant(t *testing.T) {
 		CellOutages:   []CellOutage{{Cell: 1, From: 50, To: 120}},
 		Dissemination: &DisseminationConfig{Strategy: "push-ts", Interval: 10, SleepProb: 0.1},
 	}
-	serialCfg := base
-	serialCfg.Workers = 1
-	serial, err := RunMulticell(serialCfg)
+	rep, err := RunMulticell(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelCfg := base
-	parallelCfg.Workers = 4
-	par, err := RunMulticell(parallelCfg)
+	again, err := RunMulticell(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.MeanScore != par.MeanScore || serial.Requests != par.Requests ||
-		serial.InvalidationReports != par.InvalidationReports ||
-		serial.InvalidatedEntries != par.InvalidatedEntries ||
-		serial.PushUnits != par.PushUnits {
-		t.Fatalf("worker count changed the run:\nserial:   %+v\nparallel: %+v", serial, par)
+	if !reflect.DeepEqual(rep, again) {
+		t.Fatalf("second run differs:\nfirst:  %+v\nsecond: %+v", rep, again)
 	}
-	if serial.Dissemination != "push-ts" {
-		t.Fatalf("report names strategy %q", serial.Dissemination)
+	if rep.Dissemination != "push-ts" {
+		t.Fatalf("report names strategy %q", rep.Dissemination)
 	}
-	if serial.InvalidationReports == 0 || serial.Downloads == 0 {
-		t.Fatalf("push traffic missing: %+v", serial)
+	if rep.InvalidationReports == 0 || rep.Downloads == 0 {
+		t.Fatalf("push traffic missing: %+v", rep)
 	}
-	if serial.Reroutes == 0 || serial.CellDownTicks != 70 {
-		t.Fatalf("cell outage ignored: reroutes=%d downTicks=%d", serial.Reroutes, serial.CellDownTicks)
+	if rep.Reroutes == 0 || rep.CellDownTicks != 70 {
+		t.Fatalf("cell outage ignored: reroutes=%d downTicks=%d", rep.Reroutes, rep.CellDownTicks)
 	}
 
 	// The same deployment rejects strategy-incompatible layers.

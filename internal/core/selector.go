@@ -85,8 +85,6 @@ const (
 	SolverDP SolverKind = iota
 	// SolverGreedy is the density heuristic with best-single fallback.
 	SolverGreedy
-	// SolverFPTAS is the (1-eps)-approximation scheme.
-	SolverFPTAS
 	// SolverIncremental is the exact warm-start solver: the selector
 	// keeps a slot-stable knapsack instance across ticks (departed
 	// objects become zero-profit tombstones the strict-improvement DP
@@ -109,8 +107,6 @@ func (k SolverKind) String() string {
 		return "dp"
 	case SolverGreedy:
 		return "greedy"
-	case SolverFPTAS:
-		return "fptas"
 	case SolverIncremental:
 		return "incremental"
 	case SolverCertified:
@@ -120,23 +116,21 @@ func (k SolverKind) String() string {
 	}
 }
 
-// ParseSolver maps a solver name ("dp", "greedy", "fptas",
-// "incremental", "certified") to its SolverKind; the empty string means
-// the default, SolverDP.
+// ParseSolver maps a solver name ("dp", "greedy", "incremental",
+// "certified") to its SolverKind; the empty string means the default,
+// SolverDP.
 func ParseSolver(name string) (SolverKind, error) {
 	switch name {
 	case "", "dp":
 		return SolverDP, nil
 	case "greedy":
 		return SolverGreedy, nil
-	case "fptas":
-		return SolverFPTAS, nil
 	case "incremental":
 		return SolverIncremental, nil
 	case "certified":
 		return SolverCertified, nil
 	default:
-		return 0, fmt.Errorf("core: unknown solver %q (want dp, greedy, fptas, incremental, or certified)", name)
+		return 0, fmt.Errorf("core: unknown solver %q (want dp, greedy, incremental, or certified)", name)
 	}
 }
 
@@ -147,9 +141,6 @@ type Config struct {
 	Score recency.ScoreFunc
 	// Solver selects the knapsack algorithm; defaults to SolverDP.
 	Solver SolverKind
-	// Eps is the FPTAS approximation parameter (used only by
-	// SolverFPTAS); defaults to 0.1.
-	Eps float64
 	// CertEps is the certified-pass tolerance (used only by
 	// SolverCertified): approximate solutions are accepted only when
 	// provably within a factor (1-CertEps) of optimal. Defaults to 0.05.
@@ -215,12 +206,6 @@ func NewSelector(cat *catalog.Catalog, cfg Config) (*Selector, error) {
 	if cfg.Score == nil {
 		cfg.Score = recency.Inverse
 	}
-	if cfg.Eps == 0 {
-		cfg.Eps = 0.1
-	}
-	if cfg.Eps < 0 || cfg.Eps >= 1 {
-		return nil, fmt.Errorf("core: eps %v out of (0,1)", cfg.Eps)
-	}
 	if cfg.CertEps == 0 {
 		cfg.CertEps = 0.05
 	}
@@ -228,7 +213,7 @@ func NewSelector(cat *catalog.Catalog, cfg Config) (*Selector, error) {
 		return nil, fmt.Errorf("core: certification eps %v out of (0,1)", cfg.CertEps)
 	}
 	switch cfg.Solver {
-	case SolverDP, SolverGreedy, SolverFPTAS, SolverIncremental, SolverCertified:
+	case SolverDP, SolverGreedy, SolverIncremental, SolverCertified:
 	default:
 		return nil, fmt.Errorf("core: unknown solver %d", int(cfg.Solver))
 	}
@@ -493,8 +478,6 @@ func (s *Selector) solve(items []knapsack.Item, budget int64) (knapsack.Solution
 	switch s.cfg.Solver {
 	case SolverGreedy:
 		return s.solver.SolveGreedy(items, budget)
-	case SolverFPTAS:
-		return s.solver.SolveFPTAS(items, budget, s.cfg.Eps)
 	default:
 		return s.solver.SolveDP(items, budget)
 	}

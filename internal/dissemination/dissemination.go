@@ -152,7 +152,7 @@ type Stats struct {
 
 // Cell serves one cell's requests with a push/broadcast strategy. It is
 // not safe for concurrent use with itself; distinct Cells may serve
-// concurrently (the multi-cell engine's parallel phase).
+// concurrently.
 type Cell struct {
 	cfg   Config
 	decay recency.Decay

@@ -312,9 +312,8 @@ func adaptiveRun(cfg AdaptiveStudyConfig, pol policy.Policy, budget int64) (unit
 
 // MulticellStudy compares a multi-cell deployment with and without
 // cooperative base-station caching: server downloads and client score per
-// configuration. workers bounds the engine's parallel phase (0 = auto,
-// 1 = serial); it changes wall-clock time only, never the numbers.
-func MulticellStudy(cells int, seed uint64, workers int) (string, error) {
+// configuration.
+func MulticellStudy(cells int, seed uint64) (string, error) {
 	if cells <= 0 {
 		return "", fmt.Errorf("experiment: cells %d must be positive", cells)
 	}
@@ -329,7 +328,6 @@ func MulticellStudy(cells int, seed uint64, workers int) (string, error) {
 			RequestProb:   0.3,
 			Pattern:       rng.Zipf,
 			CacheSharing:  sharing,
-			Workers:       workers,
 			Seed:          seed,
 		})
 		if err != nil {

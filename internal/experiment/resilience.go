@@ -26,10 +26,8 @@ type resilienceProfile struct {
 // deployment twice each: raw (retries only) and resilient (circuit
 // breaker + admission control), and tabulates what the resilience layer
 // trades: failed downloads and retry budget saved against requests shed
-// and extra stale serves. workers bounds the engine's parallel phase
-// (0 = auto, 1 = serial); it changes wall-clock time only, never the
-// numbers.
-func ResilienceStudy(cells int, seed uint64, workers int) (string, error) {
+// and extra stale serves.
+func ResilienceStudy(cells int, seed uint64) (string, error) {
 	if cells <= 0 {
 		return "", fmt.Errorf("experiment: cells %d must be positive", cells)
 	}
@@ -86,7 +84,6 @@ func ResilienceStudy(cells int, seed uint64, workers int) (string, error) {
 			Mobility:      client.Mobility{MeanResidence: 30, PDisconnect: 0.2, MeanAbsence: 15},
 			RequestProb:   0.3,
 			Pattern:       rng.Zipf,
-			Workers:       workers,
 			Seed:          seed,
 		}
 		if err := p.mutate(&cfg); err != nil {

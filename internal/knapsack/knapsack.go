@@ -1,9 +1,9 @@
 // Package knapsack implements the 0/1 knapsack solvers the paper's
 // on-demand download selection reduces to (Section 2): an exact dynamic
 // program that also yields the full best-value-per-capacity trace the
-// Section 4 solution-space analysis plots, a density-greedy heuristic, a
-// fully polynomial-time approximation scheme (FPTAS), and a depth-first
-// branch-and-bound solver. Item weights are integral "units of data";
+// Section 4 solution-space analysis plots, a density-greedy heuristic,
+// and a depth-first branch-and-bound solver. Item weights are integral
+// "units of data";
 // profits are real-valued client benefits.
 //
 // The solvers come in two forms: the package-level functions, which
@@ -72,9 +72,6 @@ type Solver struct {
 	order  []int // item permutation for greedy / unit fast path
 	byDens densitySorter
 	byProf profitSorter
-	scaled []int   // FPTAS scaled profits
-	minWt  []int64 // FPTAS min-weight-per-profit row
-	choice []uint64
 }
 
 // NewSolver returns an empty workspace; buffers grow on first use.
@@ -129,8 +126,10 @@ func growWords(buf []uint64, n int) []uint64 {
 // SolveDP solves the instance exactly by dynamic programming over
 // capacity, in O(n·min(capacity, Σweights)) time. All-unit-weight
 // instances (the paper's Section 3 workloads) take an O(n log n)
-// top-k-by-profit fast path instead. See the Solver doc for the lifetime
-// of the returned Take slice.
+// top-k-by-profit fast path instead, which returns a maximum-profit set
+// with ties broken by index (see solveUnit); the general DP would break
+// such ties differently. See the Solver doc for the lifetime of the
+// returned Take slice.
 //
 // Row i is filled only over the capacities reconstruction can read,
 // [max(wᵢ, c − Σ_{j>i} wⱼ), min(c, Σ_{j≤i} wⱼ)]: the walk back from c
@@ -220,13 +219,18 @@ func unitWeights(items []Item) bool {
 	return true
 }
 
-// solveUnit is the all-unit-weight fast path: rank items by (profit
-// descending, index ascending) and take the best c with positive profit.
-// That is exactly the set the strict-improvement DP reconstructs — equal
-// profits never displace an earlier item — and summing the taken profits
-// in ascending index order reproduces the DP's accumulation order, so
-// the result is bit-identical to the dynamic program (the equivalence is
-// enforced by tests).
+// solveUnit is the all-unit-weight fast path. It returns the top
+// min(c, #positive-profit items) items ranked by (profit descending,
+// index ascending), with Profit summed over the taken items in ascending
+// index order: a maximum-profit set whose ties are broken by index.
+//
+// The general DP does not share that tie-break. Its strict-improvement
+// comparisons run on rounded float sums, so among sets of equal profit
+// it keeps whichever the rounding favours, and it skips an item whose
+// profit vanishes in the running sum. Weight-1 profits {1, 1e-17} at
+// capacity 5, for example, give Take [0 1] here and [0] from the DP,
+// with the same Profit bits. The archived sweep and the Figure 2/3
+// goldens pin this fast path, not the DP (TestUnitFastPathContract).
 func (s *Solver) solveUnit(items []Item, c int) Solution {
 	n := len(items)
 	order := s.orderIdentity(n)
@@ -419,98 +423,6 @@ func (s *Solver) densityOrder(items []Item) []int {
 	s.byDens = densitySorter{items: items, order: order}
 	sort.Sort(&s.byDens)
 	return order
-}
-
-// SolveFPTAS returns a solution with profit at least (1-eps) times the
-// optimum, in O(n^3/eps) time independent of capacity magnitude, by
-// scaling profits and running the min-weight-per-profit dynamic program.
-// See the Solver doc for the lifetime of the returned Take slice.
-func (s *Solver) SolveFPTAS(items []Item, capacity int64, eps float64) (Solution, error) {
-	if capacity < 0 {
-		return Solution{}, ErrNegativeCapacity
-	}
-	if eps <= 0 || eps >= 1 {
-		return Solution{}, fmt.Errorf("knapsack: eps %v out of (0,1)", eps)
-	}
-	if err := Validate(items); err != nil {
-		return Solution{}, err
-	}
-	n := len(items)
-	maxProfit := 0.0
-	for _, it := range items {
-		if it.Weight <= capacity && it.Profit > maxProfit {
-			maxProfit = it.Profit
-		}
-	}
-	if maxProfit == 0 {
-		return Solution{Take: s.take[:0]}, nil
-	}
-	scale := eps * maxProfit / float64(n)
-	if cap(s.scaled) < n {
-		s.scaled = make([]int, n)
-	}
-	scaled := s.scaled[:n]
-	maxTotal := 0
-	for i, it := range items {
-		scaled[i] = int(it.Profit / scale)
-		if it.Weight <= capacity {
-			maxTotal += scaled[i]
-		}
-	}
-
-	// minWt[p] = least weight achieving scaled profit exactly p.
-	const inf = math.MaxInt64
-	if cap(s.minWt) < maxTotal+1 {
-		s.minWt = make([]int64, maxTotal+1)
-	}
-	minWeight := s.minWt[:maxTotal+1]
-	words := (maxTotal + 1 + 63) / 64
-	s.choice = growWords(s.choice, n*words)
-	minWeight[0] = 0
-	for p := 1; p <= maxTotal; p++ {
-		minWeight[p] = inf
-	}
-	for i, it := range items {
-		row := s.choice[i*words : (i+1)*words]
-		if it.Weight <= capacity {
-			sp := scaled[i]
-			for p := maxTotal; p >= sp; p-- {
-				if minWeight[p-sp] != inf {
-					if cand := minWeight[p-sp] + it.Weight; cand < minWeight[p] {
-						minWeight[p] = cand
-						row[p/64] |= 1 << (p % 64)
-					}
-				}
-			}
-		}
-	}
-	bestP := 0
-	for p := maxTotal; p > 0; p-- {
-		if minWeight[p] <= capacity {
-			bestP = p
-			break
-		}
-	}
-	sol := Solution{Take: s.take[:0]}
-	p := bestP
-	for i := n - 1; i >= 0; i-- {
-		if p > 0 && s.choice[i*words+p/64]&(1<<(p%64)) != 0 {
-			sol.Take = append(sol.Take, i)
-			sol.Profit += items[i].Profit
-			sol.Weight += items[i].Weight
-			p -= scaled[i]
-		}
-	}
-	reverse(sol.Take)
-	s.take = sol.Take
-	return sol, nil
-}
-
-// SolveFPTAS runs the approximation scheme with fresh working memory;
-// use a Solver to amortize allocations across repeated calls.
-func SolveFPTAS(items []Item, capacity int64, eps float64) (Solution, error) {
-	var s Solver
-	return s.SolveFPTAS(items, capacity, eps)
 }
 
 // SolveBB solves the instance exactly by depth-first branch-and-bound

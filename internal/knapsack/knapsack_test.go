@@ -90,15 +90,6 @@ func TestErrors(t *testing.T) {
 	if _, err := SolveBB(bad, 5); err == nil {
 		t.Fatal("SolveBB accepted NaN profit")
 	}
-	if _, err := SolveFPTAS(classicItems(), 5, 0); err == nil {
-		t.Fatal("FPTAS accepted eps=0")
-	}
-	if _, err := SolveFPTAS(classicItems(), 5, 1); err == nil {
-		t.Fatal("FPTAS accepted eps=1")
-	}
-	if _, err := SolveFPTAS(classicItems(), -1, 0.5); !errors.Is(err, ErrNegativeCapacity) {
-		t.Fatal("FPTAS accepted negative capacity")
-	}
 	if _, err := TraceDP(classicItems(), -1); !errors.Is(err, ErrNegativeCapacity) {
 		t.Fatal("TraceDP accepted negative capacity")
 	}
@@ -211,8 +202,7 @@ func bruteForce(items []Item, capacity int64) float64 {
 
 func TestSolutionFeasibilityProperty(t *testing.T) {
 	// Property: every solver returns a feasible solution whose reported
-	// profit/weight match its Take set, and DP >= greedy, DP >= FPTAS >=
-	// (1-eps) DP.
+	// profit/weight match its Take set, and DP >= greedy >= DP/2.
 	f := func(seed uint64, nRaw, capRaw uint16) bool {
 		r := rng.New(seed)
 		n := int(nRaw%20) + 1
@@ -226,18 +216,7 @@ func TestSolutionFeasibilityProperty(t *testing.T) {
 		if err != nil || !feasible(items, gr, cap) {
 			return false
 		}
-		const eps = 0.2
-		fp, err := SolveFPTAS(items, cap, eps)
-		if err != nil || !feasible(items, fp, cap) {
-			return false
-		}
 		if gr.Profit > dp.Profit+1e-9 {
-			return false
-		}
-		if fp.Profit > dp.Profit+1e-9 {
-			return false
-		}
-		if fp.Profit < (1-eps)*dp.Profit-1e-9 {
 			return false
 		}
 		// Greedy's 1/2 guarantee.
@@ -279,39 +258,6 @@ func TestGreedyFallsBackToBestSingle(t *testing.T) {
 	}
 	if sol.Profit != 10 || len(sol.Take) != 1 || sol.Take[0] != 1 {
 		t.Fatalf("greedy fallback solution = %+v", sol)
-	}
-}
-
-func TestFPTASZeroProfit(t *testing.T) {
-	items := []Item{{Weight: 5, Profit: 0}}
-	sol, err := SolveFPTAS(items, 10, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Profit != 0 || len(sol.Take) != 0 {
-		t.Fatalf("zero-profit FPTAS solution = %+v", sol)
-	}
-}
-
-func TestFPTASQualityImprovesWithEps(t *testing.T) {
-	items := randomItems(rng.New(17), 40, 30, 100)
-	dp, err := SolveDP(items, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := SolveFPTAS(items, 600, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, err := SolveFPTAS(items, 600, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.Profit < loose.Profit-1e-9 {
-		t.Fatalf("tight eps produced worse solution: %v < %v", tight.Profit, loose.Profit)
-	}
-	if tight.Profit < 0.99*dp.Profit-1e-9 {
-		t.Fatalf("FPTAS(0.01) profit %v below guarantee vs optimum %v", tight.Profit, dp.Profit)
 	}
 }
 

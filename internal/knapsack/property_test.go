@@ -25,10 +25,9 @@ func randomInstance(r *rng.Source) ([]Item, int64) {
 
 // TestSolversMatchBruteForceProperty drives ~200 random instances and
 // checks, against exhaustive enumeration: SolveDP is exactly optimal,
-// SolveBB agrees with it, SolveGreedy achieves at least half the optimum
-// (its approximation guarantee), and SolveFPTAS is within its 1-eps
-// bound. Every solution must also respect the capacity and report a
-// profit/weight consistent with its Take set.
+// SolveBB agrees with it, and SolveGreedy achieves at least half the
+// optimum (its approximation guarantee). Every solution must also respect
+// the capacity and report a profit/weight consistent with its Take set.
 func TestSolversMatchBruteForceProperty(t *testing.T) {
 	const tol = 1e-9
 	r := rng.New(0xA11CE)
@@ -81,20 +80,15 @@ func TestSolversMatchBruteForceProperty(t *testing.T) {
 		if greedy.Profit < opt/2-tol {
 			t.Fatalf("trial %d: greedy profit %v below half the optimum %v (items %v cap %d)", trial, greedy.Profit, opt, items, capacity)
 		}
-
-		const eps = 0.25
-		fptas, err := solver.SolveFPTAS(items, capacity, eps)
-		check("fptas", fptas, err)
-		if fptas.Profit < (1-eps)*opt-tol {
-			t.Fatalf("trial %d: FPTAS profit %v below (1-eps) x optimum %v", trial, fptas.Profit, opt)
-		}
 	}
 }
 
-// TestUnitFastPathMatchesGeneralDPProperty pins the claim in solveUnit's
-// doc comment: on all-unit-weight instances the fast path is bit-identical
-// to the general DP (forced by perturbing one weight to 1 via a shadow
-// instance with an extra general-path item removed again).
+// TestUnitFastPathMatchesGeneralDPProperty checks that on
+// all-unit-weight instances with profits in hundredths the fast path
+// reaches the general DP's profit exactly. The general path is forced by
+// a shadow instance with every weight and the capacity doubled. Only the
+// profits are compared: the two may pick different sets of equal profit
+// (see solveUnit).
 func TestUnitFastPathMatchesGeneralDPProperty(t *testing.T) {
 	r := rng.New(0xBEEF)
 	solver := NewSolver()
@@ -110,7 +104,7 @@ func TestUnitFastPathMatchesGeneralDPProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Shadow instance scaled x2 with capacity x2 takes the general
-		// DP path and must choose the same set with the same profit.
+		// DP path and must reach the same profit.
 		scaled := make([]Item, n)
 		for i, it := range items {
 			scaled[i] = Item{Weight: 2, Profit: it.Profit}

@@ -9,8 +9,10 @@ import (
 )
 
 // referenceDP is SolveDP before its rows were pruned: the same
-// all-unit-weight fast path, then every row over every capacity 0..c and
-// reconstruction straight from c. SolveDP must reproduce it bit for bit.
+// all-unit-weight fast path (which need not return the set the general
+// DP below would; see solveUnit), then every row over every capacity
+// 0..c and reconstruction straight from c. SolveDP must reproduce it bit
+// for bit.
 func referenceDP(items []Item, capacity int64) (Solution, error) {
 	if capacity < 0 {
 		return Solution{}, ErrNegativeCapacity

@@ -16,79 +16,6 @@ import (
 	"mobicache/internal/server"
 )
 
-// TestParallelMatchesSerial is the engine's keystone: across seeds, cell
-// counts, mobility profiles, and sharing modes, the parallel engine must
-// produce a Report byte-identical to the serial engine — worker count may
-// only change wall-clock time, never results.
-func TestParallelMatchesSerial(t *testing.T) {
-	mobilities := map[string]client.Mobility{
-		"fast":   {MeanResidence: 15, PDisconnect: 0.3, MeanAbsence: 8},
-		"pinned": {MeanResidence: 50, PDisconnect: client.NeverDisconnect},
-	}
-	for _, seed := range []uint64{1, 7, 42} {
-		for _, cells := range []int{1, 4, 13} {
-			for mName, mob := range mobilities {
-				for _, sharing := range []bool{false, true} {
-					name := fmt.Sprintf("seed=%d/cells=%d/%s/sharing=%v", seed, cells, mName, sharing)
-					t.Run(name, func(t *testing.T) {
-						run := func(workers int) string {
-							cfg := Config{
-								Cells:         cells,
-								Objects:       60,
-								BudgetPerTick: 8,
-								Clients:       90,
-								Mobility:      mob,
-								RequestProb:   0.4,
-								Pattern:       rng.Zipf,
-								CacheSharing:  sharing,
-								Workers:       workers,
-								Seed:          seed,
-							}
-							sys, err := New(cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							rep, err := sys.Run(120)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return fmt.Sprintf("%#v", rep)
-						}
-						serial := run(1)
-						parallel := run(4)
-						if serial != parallel {
-							t.Fatalf("parallel report diverges from serial:\nserial:   %s\nparallel: %s", serial, parallel)
-						}
-						if auto := run(0); auto != serial {
-							t.Fatalf("auto-worker report diverges from serial:\nserial: %s\nauto:   %s", serial, auto)
-						}
-					})
-				}
-			}
-		}
-	}
-}
-
-func TestWorkersResolution(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Workers = 2
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Workers() != 2 {
-		t.Fatalf("workers = %d, want 2", sys.Workers())
-	}
-	cfg.Workers = 0
-	sys, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := sys.Workers(); w < 1 || w > cfg.Cells {
-		t.Fatalf("default workers = %d, want in [1, %d]", w, cfg.Cells)
-	}
-}
-
 // TestConfigRejections pins the up-front validation: every malformed field
 // is rejected by New with a multicell-prefixed error naming the value,
 // before any cell machinery is built.
@@ -106,7 +33,6 @@ func TestConfigRejections(t *testing.T) {
 		{"negative probability", func(c *Config) { c.RequestProb = -0.1 }, "request probability -0.1"},
 		{"negative budget", func(c *Config) { c.BudgetPerTick = -10 }, "download budget -10"},
 		{"negative update period", func(c *Config) { c.UpdatePeriod = -5 }, "update period -5"},
-		{"negative workers", func(c *Config) { c.Workers = -2 }, "worker count -2"},
 		{"fractional residence", func(c *Config) { c.Mobility.MeanResidence = 0.5 }, "mean residence 0.5"},
 		{"disconnect probability above one", func(c *Config) { c.Mobility.PDisconnect = 1.5 }, "disconnect probability 1.5"},
 		{"fractional absence", func(c *Config) { c.Mobility.MeanAbsence = 0.25 }, "mean absence 0.25"},
@@ -140,7 +66,6 @@ func TestTickSteadyStateAllocs(t *testing.T) {
 		Mobility:    client.Mobility{MeanResidence: 20, PDisconnect: 0.2, MeanAbsence: 10},
 		RequestProb: 0.8,
 		Pattern:     rng.Zipf,
-		Workers:     1, // the serial loop; goroutine fan-out allocates by design
 		Seed:        3,
 	}
 	for _, sharing := range []bool{false, true} {

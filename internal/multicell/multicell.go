@@ -8,21 +8,17 @@
 //
 // # Tick engine
 //
-// Each tick runs in two phases. The serial phase advances the shared
-// state no cell may touch concurrently: client mobility, the shared
+// Each tick first advances the shared state: client mobility, the shared
 // server's update schedule (whose OnUpdate callbacks decay every cell's
 // cache), per-cell request generation, and — with cooperative caching on
-// — the sharing snapshot, which reads neighbour caches and must complete
-// before any cell mutates. The parallel phase then fans ServeTick across
-// cells on a bounded worker pool, each cell confined to its own cache,
-// policy, and metrics shard, with results landing in an order-stable
-// slice.
+// — the sharing snapshot, which reads neighbour caches before any cell
+// mutates. Then every cell serves its tick in cell order, each confined
+// to its own cache, policy, and metrics shard.
 //
-// Determinism: every random draw in the serial phase comes either from
-// the population's private stream or from one of the per-cell streams
-// derived via a splitmix64 chain from Config.Seed, and the parallel phase
-// consumes no randomness at all, so a run's Report is byte-identical for
-// any worker count — Workers only changes wall-clock time.
+// Determinism: every random draw comes either from the population's
+// private stream or from one of the per-cell streams derived via a
+// splitmix64 chain from Config.Seed, so a run's Report is a pure
+// function of its Config.
 package multicell
 
 import (
@@ -36,7 +32,6 @@ import (
 	"mobicache/internal/dissemination"
 	"mobicache/internal/fault"
 	"mobicache/internal/obs"
-	"mobicache/internal/parallel"
 	"mobicache/internal/policy"
 	"mobicache/internal/resilience"
 	"mobicache/internal/rng"
@@ -65,14 +60,9 @@ type Config struct {
 	Pattern rng.Popularity
 	// CacheSharing enables cooperative base-station caching.
 	CacheSharing bool
-	// Workers bounds the goroutines serving cells in the parallel phase:
-	// 1 runs the serial engine (no goroutines), 0 picks a default from
-	// GOMAXPROCS capped at Cells. Any value yields the identical Report.
-	Workers int
 	// Solver selects the knapsack algorithm each cell's selector uses
 	// (default core.SolverDP). Each cell owns its own selector, so the
-	// incremental kinds keep per-cell warm state and stay deterministic
-	// for any worker count.
+	// incremental kinds keep per-cell warm state.
 	Solver core.SolverKind
 	// Seed drives all randomness.
 	Seed uint64
@@ -84,16 +74,16 @@ type Config struct {
 	// updates so it rejoins stale — exactly what a station that was
 	// offline through update traffic should look like. Downtime is a
 	// pure function of (cell, tick) and rerouted requests still draw
-	// from their home cell's stream, so reports stay byte-identical for
-	// any Workers count, and a schedule with no windows reproduces the
-	// fault-free run exactly. Must cover exactly Cells cells.
+	// from their home cell's stream, so a schedule with no windows
+	// reproduces the fault-free run exactly. Must cover exactly Cells
+	// cells.
 	CellFaults *fault.CellSchedule
 	// NewFetcher, when non-nil, is called once per cell to build that
 	// cell's fetch path over the shared server: the Fetcher its station
 	// or dissemination cell downloads through, and the retry policy for
 	// failed fetches. Per-cell fetchers (rather than one shared one) keep
-	// the parallel phase race-free and deterministic: each cell owns its
-	// failure draws, so they depend only on that cell's fetch sequence.
+	// the run deterministic per cell: each cell owns its failure draws, so
+	// they depend only on that cell's fetch sequence.
 	NewFetcher func(cell int, srv *server.Server) (basestation.Fetcher, basestation.RetryConfig, error)
 	// Resilience, when non-nil, arms every cell's station with its own
 	// circuit breaker and admission control. A breaker without a
@@ -138,9 +128,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.UpdatePeriod < 0 {
 		return fmt.Errorf("multicell: negative update period %d", cfg.UpdatePeriod)
-	}
-	if cfg.Workers < 0 {
-		return fmt.Errorf("multicell: negative worker count %d", cfg.Workers)
 	}
 	if cfg.CellFaults != nil && cfg.CellFaults.Cells() != cfg.Cells {
 		return fmt.Errorf("multicell: cell-fault schedule covers %d cells, deployment has %d",
@@ -230,10 +217,9 @@ type System struct {
 	pop        *client.Population
 	// cellSrc holds one independent request stream per cell, derived via
 	// a splitmix64 chain from cfg.Seed, so a cell's draws depend only on
-	// the clients visiting it — never on sibling cells or worker count.
+	// the clients visiting it — never on sibling cells.
 	cellSrc []*rng.Source
 	sampler *rng.Alias
-	workers int
 	merger  *obs.ShardMerger
 
 	shared         uint64
@@ -264,7 +250,7 @@ type System struct {
 	// Reusable per-tick scratch, hoisted out of the tick loop so
 	// steady-state ticks allocate nothing.
 	perCell    [][]client.Request       // this tick's requests, by cell
-	results    []basestation.TickResult // order-stable parallel-phase results
+	results    []basestation.TickResult // this tick's results, by cell
 	cellTotals []basestation.Totals
 	seen       []bool       // per-object dedup during the sharing gather
 	seenIDs    []catalog.ID // flagged entries, for an O(flags) reset
@@ -298,7 +284,6 @@ func New(cfg Config) (*System, error) {
 		srv:        srv,
 		cellSrc:    rng.Streams(cfg.Seed, cfg.Cells),
 		sampler:    cfg.Pattern.NewSampler(cat.Len()),
-		workers:    parallel.Workers(cfg.Cells),
 		perCell:    make([][]client.Request, cfg.Cells),
 		results:    make([]basestation.TickResult, cfg.Cells),
 		cellTotals: make([]basestation.Totals, cfg.Cells),
@@ -309,9 +294,6 @@ func New(cfg Config) (*System, error) {
 	}
 	for c := range sys.rerouteTo {
 		sys.rerouteTo[c] = c
-	}
-	if cfg.Workers > 0 {
-		sys.workers = cfg.Workers
 	}
 	var ring *obs.TraceRing
 	var shards []*obs.StationMetrics
@@ -437,9 +419,6 @@ func New(cfg Config) (*System, error) {
 // Station returns cell c's base station (for inspection).
 func (s *System) Station(c int) *basestation.Station { return s.stations[c] }
 
-// Workers returns the worker count the parallel phase runs with.
-func (s *System) Workers() int { return s.workers }
-
 // Run executes n ticks and returns the aggregated report. Repeated Runs
 // continue the same deployment but restart the tick clock (and therefore
 // the update schedule) at zero; totals cover only the latest Run.
@@ -520,13 +499,13 @@ func (s *System) report(n int) Report {
 	return rep
 }
 
-// tick advances the system one time unit: the serial phase (mobility,
-// server updates, request generation, sharing snapshot), the parallel
-// phase (ServeTick fanned across cells), and the metrics merge.
+// tick advances the system one time unit: mobility, server updates,
+// request generation and the sharing snapshot, then every cell's
+// ServeTick in cell order, then the metrics merge.
 func (s *System) tick(tick int) error {
-	// Serial phase. Mobility and the shared server tick first: the
-	// server's OnUpdate callbacks decay every cell's cache, which must
-	// finish before any cell serves.
+	// Mobility and the shared server tick first: the server's OnUpdate
+	// callbacks decay every cell's cache, which must finish before any
+	// cell serves.
 	s.pop.Tick()
 	updated := s.srv.Tick(tick)
 
@@ -591,32 +570,19 @@ func (s *System) tick(tick int) error {
 		// Sharing snapshot: gather every cell's copies against the
 		// pre-tick cache state, then apply them all. No cell observes a
 		// neighbour's same-tick copies, so the outcome is independent of
-		// cell order — and of the worker count in the phase below.
+		// cell order.
 		for c := range s.stations {
 			s.gatherShared(c, s.perCell[c])
 		}
 		s.applyShared(float64(tick))
 	}
 
-	// Parallel phase: every cell serves its tick against private state
-	// (cache, policy, metrics shard); the shared server only sees
-	// concurrency-safe Downloads. Workers == 1 keeps the loop free of
-	// goroutines entirely.
-	cells := len(s.results)
-	if s.workers == 1 || cells == 1 {
-		for c := 0; c < cells; c++ {
-			if err := s.serveCell(c, tick, updated); err != nil {
-				return err
-			}
-		}
-	} else {
-		if err := parallel.ForEach(cells, s.workers, func(c int) error {
-			return s.serveCell(c, tick, updated)
-		}); err != nil {
+	// Every cell serves its tick against its own cache, policy and
+	// metrics shard.
+	for c := range s.results {
+		if err := s.serveCell(c, tick, updated); err != nil {
 			return err
 		}
-	}
-	for c := range s.results {
 		s.cellTotals[c].Add(s.results[c])
 	}
 
@@ -657,7 +623,7 @@ func (s *System) tick(tick int) error {
 }
 
 // serveCell serves cell c's tick through whichever engine backs it,
-// writing the order-stable result slot. A cell inside an outage window
+// writing the cell's result slot. A cell inside an outage window
 // serves nothing; a down dissemination cell still observes the tick's
 // master updates (server-side knowledge — the downed base station's
 // update history keeps accumulating, so its post-recovery report names

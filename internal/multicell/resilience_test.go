@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"mobicache/internal/basestation"
-	"mobicache/internal/client"
 	"mobicache/internal/fault"
 	"mobicache/internal/resilience"
-	"mobicache/internal/rng"
 	"mobicache/internal/server"
 )
 
@@ -29,74 +27,12 @@ func outageFetcher(seed uint64, w fault.Window, retry basestation.RetryConfig) f
 	}
 }
 
-// resilientConfig is the shared fixture: 4 cells, a cell-failure schedule
-// taking cell 1 down mid-run, flaky fetch paths, a breaker, and admission
-// control — every resilience feature armed at once.
-func resilientConfig(t *testing.T) Config {
-	t.Helper()
-	cs := fault.MustCellSchedule(4)
-	if err := cs.AddOutage(1, fault.Window{From: 30, To: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.AddOutage(3, fault.Window{From: 10, To: 12, Every: 25}); err != nil {
-		t.Fatal(err)
-	}
-	return Config{
-		Cells:         4,
-		Objects:       60,
-		BudgetPerTick: 8,
-		Clients:       120,
-		Mobility:      client.Mobility{MeanResidence: 15, PDisconnect: 0.2, MeanAbsence: 8},
-		RequestProb:   0.5,
-		Pattern:       rng.Zipf,
-		Seed:          11,
-		CellFaults:    cs,
-		NewFetcher:    outageFetcher(100, fault.Window{From: 40, To: 55, Every: 50}, basestation.RetryConfig{MaxAttempts: 2}),
-		Resilience: &resilience.Config{
-			Breaker:   resilience.BreakerConfig{FailureThreshold: 3, OpenTicks: 6},
-			Admission: resilience.Admission{MaxRequestsPerTick: 12},
-		},
-	}
-}
-
-// TestResilienceParallelMatchesSerial extends the engine keystone to the
-// failure-domain machinery: with cells dying and rejoining, breakers
-// tripping, and admission shedding, the Report must stay byte-identical
-// for any worker count.
-func TestResilienceParallelMatchesSerial(t *testing.T) {
-	for _, sharing := range []bool{false, true} {
-		t.Run(fmt.Sprintf("sharing=%v", sharing), func(t *testing.T) {
-			run := func(workers int) string {
-				cfg := resilientConfig(t)
-				cfg.CacheSharing = sharing
-				cfg.Workers = workers
-				sys, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := sys.Run(120)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return fmt.Sprintf("%#v", rep)
-			}
-			serial := run(1)
-			for _, w := range []int{4, 0} {
-				if got := run(w); got != serial {
-					t.Fatalf("workers=%d report diverges from serial:\nserial: %s\ngot:    %s", w, serial, got)
-				}
-			}
-		})
-	}
-}
-
 // TestEmptyResilienceIsIdentity pins the no-op guarantees: a cell
 // schedule with no windows, and a breaker that never sees a failure,
 // must both reproduce the plain run bit for bit.
 func TestEmptyResilienceIsIdentity(t *testing.T) {
 	run := func(mutate func(*Config)) string {
 		cfg := baseConfig()
-		cfg.Workers = 1
 		mutate(&cfg)
 		sys, err := New(cfg)
 		if err != nil {
@@ -136,7 +72,6 @@ func TestEmptyResilienceIsIdentity(t *testing.T) {
 func TestCellBlackoutReroutes(t *testing.T) {
 	run := func(cs *fault.CellSchedule) Report {
 		cfg := baseConfig()
-		cfg.Workers = 1
 		cfg.CellFaults = cs
 		sys, err := New(cfg)
 		if err != nil {
@@ -205,7 +140,6 @@ func TestCellBlackoutReroutes(t *testing.T) {
 // back to stale service instead of burning retries all outage long.
 func TestBreakerTripsAcrossCells(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Workers = 1
 	cfg.NewFetcher = outageFetcher(0, fault.Window{From: 20, To: 70}, basestation.RetryConfig{MaxAttempts: 2})
 	cfg.Resilience = &resilience.Config{
 		Breaker: resilience.BreakerConfig{FailureThreshold: 2, OpenTicks: 8},
@@ -255,7 +189,6 @@ func TestResilienceConfigRejections(t *testing.T) {
 func TestAdmissionShedsUnderOverload(t *testing.T) {
 	run := func() Report {
 		cfg := baseConfig()
-		cfg.Workers = 4
 		cfg.RequestProb = 0.9
 		cfg.Resilience = &resilience.Config{
 			Admission: resilience.Admission{MaxRequestsPerTick: 5},

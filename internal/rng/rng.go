@@ -75,9 +75,8 @@ func (r *Source) Split() *Source {
 // a splitmix64 chain: stream i is seeded from the i-th splitmix64 output
 // of seed, so it depends only on (seed, i) — never on how many sibling
 // streams exist or in what order they are consumed. The multi-cell tick
-// engine keys one stream per cell this way, which is what makes its
-// request generation identical whether cells are later served serially or
-// fanned out across workers. It panics if n is negative.
+// engine keys one stream per cell this way, so a cell's requests never
+// depend on its siblings. It panics if n is negative.
 func Streams(seed uint64, n int) []*Source {
 	if n < 0 {
 		panic(fmt.Sprintf("rng: Streams called with n = %d", n))

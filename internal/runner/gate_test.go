@@ -157,7 +157,7 @@ func TestCheckSummaries(t *testing.T) {
 		}
 	})
 	t.Run("extra current run fine", func(t *testing.T) {
-		cur := append(clone(), Summary{ID: "fptas_new", Metrics: map[string]float64{"x": 1}})
+		cur := append(clone(), Summary{ID: "certified_new", Metrics: map[string]float64{"x": 1}})
 		if vs := CheckSummaries(cur, base, DefaultTolerance); len(vs) != 0 {
 			t.Fatalf("violations = %v", vs)
 		}

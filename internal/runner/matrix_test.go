@@ -23,7 +23,7 @@ func TestExpandExactlyOnce(t *testing.T) {
 			Profiles: []string{"ideal", "flaky", "blackout", "resilient"},
 		},
 		{
-			Solvers:  []string{"greedy", "fptas"},
+			Solvers:  []string{"greedy", "certified"},
 			Accesses: []string{"zipf"},
 			Budgets:  []int64{8},
 			Cells:    []int{1},

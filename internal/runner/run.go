@@ -25,9 +25,6 @@ type Fixed struct {
 	Warmup int `json:"warmup"`
 	// Ticks is the measured horizon.
 	Ticks int `json:"ticks"`
-	// Workers bounds the multi-cell engine's parallel phase (0 = auto).
-	// Reports are byte-identical for any value.
-	Workers int `json:"workers"`
 	// Seed drives all randomness and is part of every run id.
 	Seed uint64 `json:"seed"`
 	// SampleEvery is the per-tick CSV sampling stride; the final tick is
@@ -215,7 +212,6 @@ func executeMulticell(combo Combo, fixed Fixed, mob MobilityProfile, prof FaultP
 		MeanResidence: mob.MeanResidence,
 		PDisconnect:   mob.PDisconnect,
 		MeanAbsence:   mob.MeanAbsence,
-		Workers:       fixed.Workers,
 		Ticks:         fixed.Ticks,
 		Seed:          fixed.Seed,
 		Fault:         prof.Fault,

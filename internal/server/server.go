@@ -54,9 +54,9 @@ func (s *Server) Catalog() *catalog.Catalog { return s.cat }
 // order. The base-station cache uses this to decay recency scores.
 //
 // Registration is only legal before the first Tick: the listener list is
-// read without locking while ticking, and in a multi-cell deployment the
-// callbacks mutate per-cell caches that may be served concurrently, so a
-// listener appearing mid-run would race. Late registration panics — it is
+// read without locking while ticking, and the callbacks mutate caches
+// that stations may be serving concurrently, so a listener appearing
+// mid-run would race. Late registration panics — it is
 // a wiring bug, not an input condition.
 func (s *Server) OnUpdate(fn func(catalog.ID)) {
 	if s.ticked {

@@ -29,8 +29,8 @@
 //	// plan.Download lists the objects to fetch; plan.AverageScore() is
 //	// the resulting mean client score.
 //
-// The runnable programs under examples/ and cmd/ exercise the full
-// simulation and regenerate every table and figure of the paper.
+// The Example functions in example_test.go show the facade at work, and
+// the programs under cmd/ regenerate every table and figure of the paper.
 package mobicache
 
 import (
@@ -89,37 +89,17 @@ func WithScore(f ScoreFunc) Option {
 }
 
 // WithSolver selects the knapsack solver: "dp" (exact, default), "greedy"
-// (fast 1/2-approximation), "fptas" (1-eps approximation), "incremental"
-// (exact warm-start solving that diffs each call against the previous
-// one), or "certified" (warm-start with an approximate first pass
-// accepted only when provably within 1-eps of optimal).
+// (fast 1/2-approximation), "incremental" (exact warm-start solving that
+// diffs each call against the previous one), or "certified" (warm-start
+// with an approximate first pass accepted only when provably within
+// 1-eps of optimal).
 func WithSolver(name string) Option {
 	return func(c *core.Config) error {
-		switch name {
-		case "dp":
-			c.Solver = core.SolverDP
-		case "greedy":
-			c.Solver = core.SolverGreedy
-		case "fptas":
-			c.Solver = core.SolverFPTAS
-		case "incremental":
-			c.Solver = core.SolverIncremental
-		case "certified":
-			c.Solver = core.SolverCertified
-		default:
-			return fmt.Errorf("mobicache: unknown solver %q (want dp, greedy, fptas, incremental, or certified)", name)
+		kind, err := core.ParseSolver(name)
+		if err != nil {
+			return err
 		}
-		return nil
-	}
-}
-
-// WithEps sets the FPTAS approximation parameter (default 0.1).
-func WithEps(eps float64) Option {
-	return func(c *core.Config) error {
-		if eps <= 0 || eps >= 1 {
-			return fmt.Errorf("mobicache: eps %v out of (0,1)", eps)
-		}
-		c.Eps = eps
+		c.Solver = kind
 		return nil
 	}
 }
@@ -163,7 +143,7 @@ func NewSelector(sizes []int64, opts ...Option) (*Selector, error) {
 func (s *Selector) NumObjects() int { return s.cat.Len() }
 
 // Solver reports the configured knapsack solver's name ("dp", "greedy",
-// "fptas", "incremental", or "certified"). Clones answer for the
+// "incremental", or "certified"). Clones answer for the
 // selector they were cloned from, so a server can verify that pooled
 // workers match its live configuration.
 func (s *Selector) Solver() string { return s.inner.Solver().String() }

@@ -49,17 +49,14 @@ func TestSelectorOptions(t *testing.T) {
 	if _, err := NewSelector([]int64{1}, WithSolver("bogus")); err == nil {
 		t.Fatal("bogus solver accepted")
 	}
-	if _, err := NewSelector([]int64{1}, WithEps(0)); err == nil {
-		t.Fatal("eps 0 accepted")
-	}
 	if _, err := NewSelector([]int64{1}, WithScore(nil)); err == nil {
 		t.Fatal("nil score accepted")
 	}
 	if _, err := NewSelector(nil); err == nil {
 		t.Fatal("empty catalog accepted")
 	}
-	for _, solver := range []string{"dp", "greedy", "fptas"} {
-		sel, err := NewSelector([]int64{2, 3, 4}, WithSolver(solver), WithEps(0.05), WithScore(ExponentialScore))
+	for _, solver := range []string{"dp", "greedy", "incremental", "certified"} {
+		sel, err := NewSelector([]int64{2, 3, 4}, WithSolver(solver), WithScore(ExponentialScore))
 		if err != nil {
 			t.Fatalf("%s: %v", solver, err)
 		}

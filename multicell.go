@@ -3,6 +3,7 @@ package mobicache
 import (
 	"mobicache/internal/basestation"
 	"mobicache/internal/client"
+	"mobicache/internal/core"
 	"mobicache/internal/dissemination"
 	"mobicache/internal/multicell"
 	"mobicache/internal/rng"
@@ -43,13 +44,8 @@ type MulticellConfig struct {
 	// CacheSharing lets base stations copy entries from neighbouring
 	// cells on a miss instead of reaching the remote server.
 	CacheSharing bool
-	// Workers bounds the goroutines serving cells in the engine's parallel
-	// phase: 1 forces the serial engine, 0 picks a default from GOMAXPROCS
-	// capped at Cells. The report is byte-identical for any value; Workers
-	// only changes wall-clock time.
-	Workers int
 	// Solver selects the knapsack algorithm behind every cell's
-	// selection: "dp" (default), "greedy", "fptas", "incremental", or
+	// selection: "dp" (default), "greedy", "incremental", or
 	// "certified". See SimulationConfig.Solver.
 	Solver string
 	// Ticks is the simulated duration.
@@ -143,7 +139,7 @@ func buildMulticell(cfg MulticellConfig) (*multicell.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver, err := parseSolver(cfg.Solver)
+	solver, err := core.ParseSolver(cfg.Solver)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +158,6 @@ func buildMulticell(cfg MulticellConfig) (*multicell.System, error) {
 		RequestProb:   cfg.RequestProb,
 		Pattern:       rng.Popularity(pattern),
 		CacheSharing:  cfg.CacheSharing,
-		Workers:       cfg.Workers,
 		Solver:        solver,
 		Seed:          cfg.Seed,
 		Metrics:       cfg.Metrics,

@@ -132,30 +132,28 @@ func TestRunMulticellValidation(t *testing.T) {
 	}
 }
 
-func TestRunMulticellWorkersDeterministic(t *testing.T) {
-	run := func(workers int) MulticellReport {
+func TestRunMulticellDeterministic(t *testing.T) {
+	run := func() MulticellReport {
 		cfg := baseMulticell()
 		cfg.CacheSharing = true
-		cfg.Workers = workers
 		rep, err := RunMulticell(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	serial := run(1)
-	parallel := run(4)
-	if fmt.Sprintf("%#v", serial) != fmt.Sprintf("%#v", parallel) {
-		t.Fatalf("worker count changed the report:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	rep := run()
+	if again := run(); fmt.Sprintf("%#v", rep) != fmt.Sprintf("%#v", again) {
+		t.Fatalf("second run changed the report:\nfirst:  %+v\nsecond: %+v", rep, again)
 	}
-	if len(serial.PerCellRequests) != 3 || len(serial.PerCellDownloads) != 3 {
-		t.Fatalf("per-cell breakdowns missing: %+v", serial)
+	if len(rep.PerCellRequests) != 3 || len(rep.PerCellDownloads) != 3 {
+		t.Fatalf("per-cell breakdowns missing: %+v", rep)
 	}
 	var reqs uint64
-	for _, r := range serial.PerCellRequests {
+	for _, r := range rep.PerCellRequests {
 		reqs += r
 	}
-	if reqs != serial.Requests {
-		t.Fatalf("per-cell requests sum %d != total %d", reqs, serial.Requests)
+	if reqs != rep.Requests {
+		t.Fatalf("per-cell requests sum %d != total %d", reqs, rep.Requests)
 	}
 }

@@ -27,19 +27,17 @@ go vet ./...
 go build ./...
 go test -race -count=1 -shuffle=on -coverprofile=coverage.out ./...
 
-# Extra race shakedown of the concurrency-heavy packages: the daemon's
-# handler/worker-pool paths, the parallel map, the multi-cell tick
-# engine (whose parallel phase fans ServeTick across cells sharing one
-# server), and the resilience state machines get a second shuffled run so
-# scheduling-order bugs have two chances to trip. The multicell run
-# includes the cell-failure grid (TestResilienceParallelMatchesSerial
-# sweeps sharing x workers under cell outages). The dissemination stack
-# (strategy cells plus the invalidation/broadcast layers under them)
-# rides along because the multicell engine fans its per-cell ServeTick
-# across the same worker pool. The serving tier (window engine + peer
-# fetcher + consistent-hash ring) joins the list: its submit/serve loop
-# and cross-station fetch phase are the most schedule-sensitive code in
-# the repo.
+# Extra race shakedown, a second shuffled run so scheduling-order and
+# test-order bugs have two chances to trip: the daemon's handler and
+# clone-pool paths, the parallel map behind the studies' sweeps, the
+# resilience state machines, the serving tier (window engine + peer
+# fetcher + consistent-hash ring, whose submit/serve loop and
+# cross-station fetch phase are the most schedule-sensitive code in the
+# repo) and the load generator. The multi-cell engine and the
+# dissemination stack (strategy cells plus the invalidation/broadcast
+# layers under them) serve their cells one after another and start
+# no goroutines; they stay on the list because they cost the pass little
+# and a second shuffled run still catches test-order dependence.
 go test -race -count=2 -shuffle=on ./cmd/stationd ./internal/parallel ./internal/multicell ./internal/resilience \
     ./internal/broadcast ./internal/invalidation ./internal/dissemination \
     ./internal/serve ./internal/serve/ring ./internal/loadgen

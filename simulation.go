@@ -212,7 +212,7 @@ type SimulationConfig struct {
 	HybridFraction float64
 	// Solver selects the knapsack algorithm behind the knapsack-backed
 	// policies: "dp" (default, the paper's exact dynamic program),
-	// "greedy", "fptas", "incremental" (exact warm-start solving that
+	// "greedy", "incremental" (exact warm-start solving that
 	// reuses the previous tick's DP state), or "certified" (warm-start
 	// plus an approximate first pass accepted only when provably within
 	// 1-eps of optimal).
@@ -582,7 +582,7 @@ func buildPolicy(cfg SimulationConfig, cat *catalog.Catalog) (policy.Policy, err
 // knapsack-backed policies: the configured solver kind, the decision
 // trace, and — when metrics are on — the full/warm resolve counters.
 func selectorConfig(cfg SimulationConfig) (core.Config, error) {
-	kind, err := parseSolver(cfg.Solver)
+	kind, err := core.ParseSolver(cfg.Solver)
 	if err != nil {
 		return core.Config{}, err
 	}
@@ -592,14 +592,6 @@ func selectorConfig(cfg SimulationConfig) (core.Config, error) {
 		c.WarmResolves = cfg.Metrics.SolverWarmResolves
 	}
 	return c, nil
-}
-
-func parseSolver(name string) (core.SolverKind, error) {
-	kind, err := core.ParseSolver(name)
-	if err != nil {
-		return 0, fmt.Errorf("mobicache: unknown solver %q", name)
-	}
-	return kind, nil
 }
 
 // traceRing extracts the decision-trace ring from the configured metrics
