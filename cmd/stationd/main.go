@@ -67,7 +67,8 @@
 //	stationd -addr :8082 -serve -self http://127.0.0.1:8082 \
 //	         -peers http://127.0.0.1:8081,http://127.0.0.1:8082
 //
-// then install the same catalog on both and drive them with cmd/loadgen.
+// then install the same catalog on both. bench/run.sh --workload serve-hot
+// starts and drives such a fleet end to end.
 package main
 
 import (

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mobicache"
+	"mobicache/internal/loadgen"
 	"mobicache/internal/serve/ring"
 )
 
@@ -289,10 +290,14 @@ func TestRequestEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestServingFleetCooperativeFetch runs the tentpole end to end over
-// real HTTP: two daemons sharding a catalog by consistent hashing, with
-// station A cooperatively fetching a B-owned object from B's cache
-// instead of downloading it.
+// TestServingFleetCooperativeFetch runs the serving tier end to end over
+// real HTTP: two daemons sharding a catalog by consistent hashing, each
+// with the daemon's default window bounds and its own update schedule.
+// The first phase is deterministic: station A cooperatively fetches a
+// B-owned object from B's cache instead of downloading it. The second
+// sends a concurrent zipf load round-robin over both stations, so both
+// window loops fetch from each other at once, and pins only identities
+// that hold under any schedule.
 func TestServingFleetCooperativeFetch(t *testing.T) {
 	a, b := newTestDaemon(t), newTestDaemon(t)
 	tsA, tsB := httptest.NewServer(a), httptest.NewServer(b)
@@ -300,17 +305,11 @@ func TestServingFleetCooperativeFetch(t *testing.T) {
 	defer tsB.Close()
 	peers := []string{tsA.URL, tsB.URL}
 	for d, self := range map[*server]string{a: tsA.URL, b: tsB.URL} {
-		err := d.enableServing(serveOptions{
-			MaxBatch: 1,
-			MaxWait:  time.Millisecond,
-			Self:     self,
-			Peers:    peers,
-		})
-		if err != nil {
+		if err := d.enableServing(serveOptions{UpdatePeriod: 10, Self: self, Peers: peers}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const objects = 40
+	const objects = 120
 	sizes := make([]int64, objects)
 	for i := range sizes {
 		sizes[i] = 1 + int64(i%4)
@@ -361,6 +360,14 @@ func TestServingFleetCooperativeFetch(t *testing.T) {
 		}
 		return out
 	}
+	serveStatus := func(d *server) serveStatusResponse {
+		t.Helper()
+		var st serveStatusResponse
+		if err := json.Unmarshal(getPath(t, d, "/v1/serve/status").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 
 	// Warm the object at its owner, then request it at A: A must install
 	// B's cooperative copy and serve from cache without downloading.
@@ -371,12 +378,7 @@ func TestServingFleetCooperativeFetch(t *testing.T) {
 	if r.Source != "cache" || !r.Peer {
 		t.Fatalf("remote object at A served as %+v, want a peer-flagged cache hit", r)
 	}
-
-	var status serveStatusResponse
-	sw := getPath(t, a, "/v1/serve/status")
-	if err := json.Unmarshal(sw.Body.Bytes(), &status); err != nil {
-		t.Fatal(err)
-	}
+	status := serveStatus(a)
 	if !status.Enabled || !status.Running {
 		t.Fatalf("serve status %+v, want enabled and running", status)
 	}
@@ -385,6 +387,71 @@ func TestServingFleetCooperativeFetch(t *testing.T) {
 	}
 	if status.Windows == 0 || status.DroppedWindows != 0 {
 		t.Fatalf("window counters %+v", status)
+	}
+
+	// Concurrent phase: 16 workers send 2,000 requests of a seeded zipf
+	// stream, alternating stations by request index. A window that held
+	// its engine lock across peer fetches would block the other
+	// station's probes until the peer client timed out.
+	stations := []*server{a, b}
+	before := []serveStatusResponse{serveStatus(a), serveStatus(b)}
+	stream, err := loadgen.NewStream(loadgen.StreamConfig{
+		Objects: objects, ZipfS: 1.1, Clients: 32, TargetLo: 0.5, TargetHi: 1, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests, workers = 2000, 16
+	bodies := make([][]byte, requests)
+	for i := range bodies {
+		r := stream.Next()
+		bodies[i], _ = json.Marshal(serveRequest{Client: r.Client, Object: int(r.Object), Target: r.Target})
+	}
+	httpc := &http.Client{Timeout: 5 * time.Second}
+	var next atomic.Int64
+	var answered [2]atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < requests; i = int(next.Add(1)) - 1 {
+				st := i % 2
+				resp, err := httpc.Post(peers[st]+"/v1/request", "application/json", bytes.NewReader(bodies[i]))
+				if err != nil {
+					t.Errorf("request %d to station %d: %v", i, st, err)
+					return
+				}
+				var out serveResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil || out.Source == "" {
+					t.Errorf("request %d to station %d: status %d, answer %+v, decode error %v",
+						i, st, resp.StatusCode, out, err)
+					return
+				}
+				answered[st].Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Every answered request passed through exactly one window of its
+	// station, no window failed, no peer fetch failed or was refused, and
+	// every peer fetch ended in exactly one hit, miss or failure.
+	for i, d := range stations {
+		st := serveStatus(d)
+		if grown := st.WindowRequests - before[i].WindowRequests; grown != answered[i].Load() {
+			t.Errorf("station %d: window_requests grew by %d, %d requests answered", i, grown, answered[i].Load())
+		}
+		if st.DroppedWindows != 0 || st.PeerFailures != 0 || st.PeerShortCircuits != 0 {
+			t.Errorf("station %d: dropped_windows %d, peer_failures %d, peer_short_circuits %d, want 0",
+				i, st.DroppedWindows, st.PeerFailures, st.PeerShortCircuits)
+		}
+		if st.PeerFetches != st.PeerHits+st.PeerMisses+st.PeerFailures {
+			t.Errorf("station %d: %d peer fetches, %d hits + %d misses + %d failures",
+				i, st.PeerFetches, st.PeerHits, st.PeerMisses, st.PeerFailures)
+		}
 	}
 }
 

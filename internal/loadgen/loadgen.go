@@ -1,18 +1,15 @@
-// Package loadgen generates zipf-distributed request streams for driving
-// live stations and summarizes the results: exact nearest-rank latency
-// percentiles, hit ratio, freshness ratio, and peer-service counts. The
-// stream is fully deterministic for a given seed so a load run can be
-// replayed bit-for-bit, and the percentile estimator is exact (it sorts
-// the recorded samples) rather than an approximating sketch — load runs
-// are small enough that exactness is cheap and removes one source of
-// cross-run noise from the archived numbers.
+// Package loadgen generates deterministic zipf-distributed request
+// streams for driving live stations, and computes exact nearest-rank
+// latency percentiles. The benchmark (bench/) and stationd's fleet test
+// draw their load from Stream. A stream is fully deterministic for a
+// given seed, so a load run can be replayed bit-for-bit; Percentile ranks
+// every recorded sample instead of approximating with a sketch, which
+// removes one source of cross-run noise from archived numbers.
 package loadgen
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"mobicache/internal/catalog"
 	"mobicache/internal/client"
@@ -109,93 +106,4 @@ func Percentile(sorted []float64, q float64) float64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// Summary is one load run's archived result. Latencies are seconds.
-type Summary struct {
-	Requests   uint64  `json:"requests"`
-	Errors     uint64  `json:"errors"`
-	Hits       uint64  `json:"hits"`        // served from station cache
-	Downloads  uint64  `json:"downloads"`   // served via a fresh download
-	Shed       uint64  `json:"shed"`        // refused by admission control
-	Misses     uint64  `json:"misses"`      // not served at all
-	PeerHits   uint64  `json:"peer_hits"`   // cache hits on cooperative copies
-	Fresh      uint64  `json:"fresh"`       // served at or above target recency
-	HitRatio   float64 `json:"hit_ratio"`   // Hits / served
-	FreshRatio float64 `json:"fresh_ratio"` // Fresh / served
-	P50        float64 `json:"p50_seconds"`
-	P95        float64 `json:"p95_seconds"`
-	P99        float64 `json:"p99_seconds"`
-	Max        float64 `json:"max_seconds"`
-}
-
-// Collector accumulates per-request observations for one load run. Not
-// safe for concurrent use; merge per-worker collectors or serialize.
-type Collector struct {
-	latencies []float64
-	sum       Summary
-}
-
-// NewCollector pre-sizes the latency buffer for n expected requests.
-func NewCollector(n int) *Collector {
-	return &Collector{latencies: make([]float64, 0, n)}
-}
-
-// Outcome is the per-request observation fed to Record, mirroring the
-// station's response: how the request was served and whether the served
-// copy met the client's target recency.
-type Outcome struct {
-	Latency time.Duration
-	Source  string // "download", "cache", "shed", "miss"
-	Peer    bool   // served from a cooperatively fetched copy
-	Stale   bool   // served below the client's target recency
-	Err     bool   // transport or server error; nothing served
-}
-
-// Record folds one request's outcome into the run.
-func (c *Collector) Record(o Outcome) {
-	c.sum.Requests++
-	if o.Err {
-		c.sum.Errors++
-		return
-	}
-	c.latencies = append(c.latencies, o.Latency.Seconds())
-	switch o.Source {
-	case "cache":
-		c.sum.Hits++
-		if o.Peer {
-			c.sum.PeerHits++
-		}
-		if !o.Stale {
-			c.sum.Fresh++
-		}
-	case "download":
-		c.sum.Downloads++
-		c.sum.Fresh++
-	case "shed":
-		c.sum.Shed++
-	default:
-		c.sum.Misses++
-	}
-}
-
-// Summarize computes the final numbers. The collector's latency buffer
-// is sorted in place; Record must not be called afterwards.
-func (c *Collector) Summarize() Summary {
-	s := c.sum
-	served := s.Hits + s.Downloads
-	if served > 0 {
-		s.HitRatio = float64(s.Hits) / float64(served)
-		s.FreshRatio = float64(s.Fresh) / float64(served)
-	}
-	sort.Float64s(c.latencies)
-	s.P50 = Percentile(c.latencies, 0.50)
-	s.P95 = Percentile(c.latencies, 0.95)
-	s.P99 = Percentile(c.latencies, 0.99)
-	if n := len(c.latencies); n > 0 {
-		s.Max = c.latencies[n-1]
-	} else {
-		s.P50, s.P95, s.P99 = 0, 0, 0
-	}
-	return s
 }

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestNewStreamValidates(t *testing.T) {
@@ -136,47 +135,5 @@ func TestPercentileNearestRank(t *testing.T) {
 		if got := Percentile(sorted, c.q); got != c.want {
 			t.Fatalf("q=%v: got %v, want %v", c.q, got, c.want)
 		}
-	}
-}
-
-func TestCollectorSummary(t *testing.T) {
-	c := NewCollector(8)
-	ms := func(d int) time.Duration { return time.Duration(d) * time.Millisecond }
-	c.Record(Outcome{Latency: ms(1), Source: "download"})
-	c.Record(Outcome{Latency: ms(2), Source: "cache"})
-	c.Record(Outcome{Latency: ms(3), Source: "cache", Peer: true})
-	c.Record(Outcome{Latency: ms(4), Source: "cache", Stale: true})
-	c.Record(Outcome{Latency: ms(5), Source: "shed"})
-	c.Record(Outcome{Latency: ms(6), Source: "miss"})
-	c.Record(Outcome{Err: true})
-
-	s := c.Summarize()
-	if s.Requests != 7 || s.Errors != 1 {
-		t.Fatalf("requests/errors = %d/%d, want 7/1", s.Requests, s.Errors)
-	}
-	if s.Hits != 3 || s.Downloads != 1 || s.Shed != 1 || s.Misses != 1 || s.PeerHits != 1 {
-		t.Fatalf("hits=%d downloads=%d shed=%d misses=%d peer=%d, want 3/1/1/1/1",
-			s.Hits, s.Downloads, s.Shed, s.Misses, s.PeerHits)
-	}
-	// Served = 4 (3 hits + 1 download); fresh = download + 2 non-stale hits.
-	if s.HitRatio != 0.75 {
-		t.Fatalf("hit ratio %v, want 0.75", s.HitRatio)
-	}
-	if s.FreshRatio != 0.75 {
-		t.Fatalf("fresh ratio %v, want 0.75", s.FreshRatio)
-	}
-	// 6 latency samples 1..6ms; nearest-rank p50 = rank 3 = 3ms.
-	if s.P50 != 0.003 {
-		t.Fatalf("p50 %v, want 0.003", s.P50)
-	}
-	if s.Max != 0.006 {
-		t.Fatalf("max %v, want 0.006", s.Max)
-	}
-}
-
-func TestCollectorEmpty(t *testing.T) {
-	s := NewCollector(0).Summarize()
-	if s.Requests != 0 || s.P50 != 0 || s.P95 != 0 || s.P99 != 0 || s.Max != 0 {
-		t.Fatalf("empty summary %+v, want zeros", s)
 	}
 }

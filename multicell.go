@@ -82,41 +82,10 @@ type MulticellConfig struct {
 // cannot express because it means "use the default".
 const NeverDisconnect = client.NeverDisconnect
 
-// MulticellReport aggregates a multi-cell run.
-type MulticellReport struct {
-	Ticks              int
-	Requests           uint64
-	Downloads          uint64 // remote-server downloads across all cells
-	SharedCopies       uint64 // cooperative copies between base stations
-	SharedCopyFailures uint64 // cooperative copies the local cache rejected
-	MeanScore          float64
-	MeanRecency        float64
-	Handoffs           uint64
-	Drops              uint64
-	PerCellScores      []float64
-	PerCellRequests    []uint64
-	PerCellDownloads   []uint64
-
-	// Resilience accounting (all zero without CellOutages / Fault /
-	// Resilience configs).
-	Reroutes        uint64 // requests rerouted from a down cell to a live one
-	LostRequests    uint64 // requests lost because every cell was down
-	CellDownTicks   uint64 // cell-ticks spent inside a cell outage window
-	ShedRequests    uint64 // requests refused by admission control
-	ShortCircuits   uint64 // downloads refused outright by open breakers
-	BreakerTrips    uint64 // circuit-breaker trips across all cells
-	FailedDownloads uint64 // downloads abandoned after retries/timeout
-	StaleFallbacks  uint64 // requests served stale because a refresh failed
-
-	// Dissemination accounting (all zero on the default on-demand path).
-	Dissemination       string // active strategy name ("" = stations)
-	InvalidationReports uint64 // invalidation reports broadcast across all cells
-	InvalidatedEntries  uint64 // terminal cache entries dropped by reports
-	TerminalPurges      uint64 // whole-cache terminal drops
-	PushServed          uint64 // requests satisfied by broadcast schedules
-	PullServed          uint64 // requests satisfied by pull backchannels
-	PushUnits           uint64 // broadcast-channel bandwidth spent
-}
+// MulticellReport aggregates a multi-cell run: totals, per-cell
+// series, and the resilience and dissemination accounting (zero when
+// those layers are off).
+type MulticellReport = multicell.Report
 
 // RunMulticell builds and runs the configured deployment.
 func RunMulticell(cfg MulticellConfig) (MulticellReport, error) {
@@ -124,11 +93,7 @@ func RunMulticell(cfg MulticellConfig) (MulticellReport, error) {
 	if err != nil {
 		return MulticellReport{}, err
 	}
-	r, err := sys.Run(cfg.Ticks)
-	if err != nil {
-		return MulticellReport{}, err
-	}
-	return multicellReport(r), nil
+	return sys.Run(cfg.Ticks)
 }
 
 // buildMulticell compiles the public configuration into a running
@@ -185,38 +150,4 @@ func buildMulticell(cfg MulticellConfig) (*multicell.System, error) {
 		mcfg.DisseminationKnobs = cfg.Dissemination.knobs()
 	}
 	return multicell.New(mcfg)
-}
-
-// multicellReport converts the internal report into the public type.
-func multicellReport(r multicell.Report) MulticellReport {
-	return MulticellReport{
-		Ticks:              r.Ticks,
-		Requests:           r.Requests,
-		Downloads:          r.Downloads,
-		SharedCopies:       r.SharedCopies,
-		SharedCopyFailures: r.SharedCopyFailures,
-		MeanScore:          r.MeanScore,
-		MeanRecency:        r.MeanRecency,
-		Handoffs:           r.Handoffs,
-		Drops:              r.Drops,
-		PerCellScores:      r.PerCellScores,
-		PerCellRequests:    r.PerCellRequests,
-		PerCellDownloads:   r.PerCellDownloads,
-		Reroutes:           r.Reroutes,
-		LostRequests:       r.LostRequests,
-		CellDownTicks:      r.CellDownTicks,
-		ShedRequests:       r.ShedRequests,
-		ShortCircuits:      r.ShortCircuits,
-		BreakerTrips:       r.BreakerTrips,
-		FailedDownloads:    r.FailedDownloads,
-		StaleFallbacks:     r.StaleFallbacks,
-
-		Dissemination:       r.Dissemination,
-		InvalidationReports: r.InvalidationReports,
-		InvalidatedEntries:  r.InvalidatedEntries,
-		TerminalPurges:      r.TerminalPurges,
-		PushServed:          r.PushServed,
-		PullServed:          r.PullServed,
-		PushUnits:           r.PushUnits,
-	}
 }

@@ -1,12 +1,14 @@
 #!/bin/sh
 # bench.sh — run the hot-path benchmarks and record the numbers as JSON.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json
 #
 # Runs the solver, selector, and full-system benchmarks with -benchmem and
 # writes one JSON object per benchmark (name, ns/op, B/op, allocs/op) as a
-# JSON array to BENCH_1.json (or the given path). The raw `go test` output
-# is echoed to stderr so regressions are visible in CI logs.
+# JSON array to the given path. There is no default path: the BENCH_<n>.json
+# files at the repository root are the archived trajectory, and a run must
+# name its output rather than overwrite one of them. The raw `go test`
+# output is echoed to stderr so regressions are visible in CI logs.
 #
 # The unit-aware parsing that used to live here as awk now lives in
 # internal/runner (ParseBench, with fixture tests over ns/µs/ms lines);
@@ -17,8 +19,12 @@
 # and histogram drift is reviewable next to the benchmark numbers.
 set -eu
 
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/bench.sh output.json" >&2
+    exit 2
+fi
+out=$1
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_1.json}"
 
 go run ./cmd/experiment-runner -mode bench -out-bench "$out"
 

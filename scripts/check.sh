@@ -29,14 +29,15 @@ go test -race -count=1 -shuffle=on -coverprofile=coverage.out ./...
 
 # Extra race shakedown, a second shuffled run so scheduling-order and
 # test-order bugs have two chances to trip: the daemon's handler and
-# clone-pool paths, the parallel map behind the studies' sweeps, the
-# resilience state machines, the serving tier (window engine + peer
-# fetcher + consistent-hash ring, whose submit/serve loop and
-# cross-station fetch phase are the most schedule-sensitive code in the
-# repo) and the load generator. The multi-cell engine and the
+# clone-pool paths (its two-station fleet test sends a concurrent load
+# through both window loops and their peer fetches), the parallel map
+# behind the studies' sweeps, the resilience state machines and the
+# serving tier (window engine + peer fetcher + consistent-hash ring,
+# whose submit/serve loop and cross-station fetch phase are the most
+# schedule-sensitive code in the repo). The multi-cell engine, the
 # dissemination stack (strategy cells plus the invalidation/broadcast
-# layers under them) serve their cells one after another and start
-# no goroutines; they stay on the list because they cost the pass little
+# layers under them) and the request-stream generator start no
+# goroutines; they stay on the list because they cost the pass little
 # and a second shuffled run still catches test-order dependence.
 go test -race -count=2 -shuffle=on ./cmd/stationd ./internal/parallel ./internal/multicell ./internal/resilience \
     ./internal/broadcast ./internal/invalidation ./internal/dissemination \
@@ -94,31 +95,6 @@ if go run -race ./cmd/experiment-runner $smoke -out "$smokedir/head2" -baseline 
     exit 1
 fi
 echo "experiment-runner smoke: sweep + archive + gate (incl. injected failure) OK"
-
-# Serving-tier smoke: build the daemon and the load generator, start a
-# two-station consistent-hash fleet, and drive it with a deterministic
-# zipf stream at rate. The run self-gates via loadgen's exit status:
-# every request must be answered (zero errors), no selection window may
-# be dropped, and the cooperative peer-fetch path must actually be taken
-# (>= 1 fleet peer hit) — so a sharding or peer-path regression fails
-# this script, not just a unit test.
-go build -o "$smokedir/stationd" ./cmd/stationd
-go build -o "$smokedir/loadgen" ./cmd/loadgen
-STA=http://127.0.0.1:18431
-STB=http://127.0.0.1:18432
-"$smokedir/stationd" -addr 127.0.0.1:18431 -serve -self "$STA" -peers "$STA,$STB" \
-    -serve-update-period 10 >"$smokedir/stationd-a.log" 2>&1 &
-sd1=$!
-"$smokedir/stationd" -addr 127.0.0.1:18432 -serve -self "$STB" -peers "$STA,$STB" \
-    -serve-update-period 10 >"$smokedir/stationd-b.log" 2>&1 &
-sd2=$!
-trap 'kill "$sd1" "$sd2" 2>/dev/null; rm -rf "$smokedir"' EXIT
-"$smokedir/loadgen" -stations "$STA,$STB" -install -objects 120 -requests 2000 -rps 1500 \
-    -wait-ready 5s -seed 7 -min-peer-hits 1 -max-dropped 0 -max-errors 0 \
-    -out "$smokedir/load.json"
-kill "$sd1" "$sd2" 2>/dev/null
-wait "$sd1" "$sd2" 2>/dev/null || true
-echo "serving-tier smoke: 2-station fleet + loadgen gates OK"
 
 # Perf + golden regression gate: regenerate Figures 2-6 and byte-compare
 # against results/golden, and re-run the hot-path benchmark set against

@@ -1,7 +1,5 @@
 package mobicache
 
-import "mobicache/internal/multicell"
-
 // This file is the per-tick observation surface used by the experiment
 // runner (cmd/experiment-runner): the same simulations RunSimulation and
 // RunMulticell execute, but with a sampling callback invoked after every
@@ -41,13 +39,5 @@ func RunMulticellTicks(cfg MulticellConfig, sample func(ticks int, rep Multicell
 	if err != nil {
 		return MulticellReport{}, err
 	}
-	var inner func(int, multicell.Report) error
-	if sample != nil {
-		inner = func(n int, r multicell.Report) error { return sample(n, multicellReport(r)) }
-	}
-	r, err := sys.RunSampled(cfg.Ticks, inner)
-	if err != nil {
-		return MulticellReport{}, err
-	}
-	return multicellReport(r), nil
+	return sys.RunSampled(cfg.Ticks, sample)
 }
